@@ -14,14 +14,14 @@
 //! answers with one response line — except `stream`, which keeps the
 //! connection open and writes one line per event followed by a
 //! terminator line. Every non-stream response carries `"ok": true` or
-//! `"ok": false` with an `"error"` string. The grammar (DESIGN §15):
+//! `"ok": false` with an `"error"` string. The grammar (DESIGN §13):
 //!
 //! ```text
 //! request    = object NL
 //! op         = "ping" | "submit" | "status" | "cancel" | "fetch"
 //!            | "stream" | "stats" | "quota" | "pause" | "resume"
 //!            | "shutdown"
-//! submit     = {op, client?, experiment, scale?, format?, priority?, shards?}
+//! submit     = {op, client?, experiment, scale?, format?, priority?}
 //! event-line = {"seq", "at", "scope", "kind"}
 //! end-line   = {"stream_end": true, "total", "missed", "dropped", "state"}
 //! ```
@@ -31,7 +31,7 @@
 //! Jobs land in a [`FairQueue`]: FIFO per client, round-robin across
 //! clients, higher [`Priority`] first, and a per-client in-flight
 //! quota. `max_jobs` runner threads pull from the queue; each job's
-//! *inner* fan-out (suite runner, shard wheels) is budgeted to
+//! *inner* fan-out (its suite runner) is budgeted to
 //! `workers_total / max_jobs` via the pool's thread-local override, so
 //! N concurrent jobs never oversubscribe the host N-fold. Each job runs
 //! as a single-item supervised batch, inheriting the supervisor's
@@ -144,7 +144,6 @@ struct JobSpec {
     experiment: Experiment,
     scale: Scale,
     format: OutputFormat,
-    shards: usize,
 }
 
 impl JobSpec {
@@ -420,7 +419,6 @@ fn execute_job(
         let hub = MetricsHub::new();
         let mut job =
             ExperimentJob::new(job_spec.experiment, job_spec.scale, job_spec.format, budget);
-        job.shards = job_spec.shards;
         job.metrics_hub = Some(hub.clone());
         job.event_hub = Some(feed.clone());
         let output = job.execute();
@@ -539,52 +537,67 @@ fn handle_connection(
     }
 }
 
+/// Reads the optional request key `field` with `read`: an absent key is
+/// `Ok(None)`, a present one of the wrong JSON type is an error response
+/// naming the field and the type it needs (never a silent default).
+fn optional<'a, T>(
+    request: &'a JsonValue,
+    field: &str,
+    expected: &str,
+    read: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<Option<T>, JsonValue> {
+    match request.get(field) {
+        None => Ok(None),
+        Some(value) => read(value)
+            .map(Some)
+            .ok_or_else(|| fail(format!("'{field}' must be {expected}"))),
+    }
+}
+
 fn op_submit(shared: &Arc<Shared>, request: &JsonValue) -> JsonValue {
     if shared.shutdown.load(Ordering::Acquire) {
         return fail("daemon is shutting down".to_owned());
     }
-    let client = request
-        .get("client")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("anon")
-        .to_owned();
+    let client = match optional(request, "client", "a string", JsonValue::as_str) {
+        Ok(client) => client.unwrap_or("anon").to_owned(),
+        Err(error) => return error,
+    };
     let Some(experiment_id) = request.get("experiment").and_then(JsonValue::as_str) else {
         return fail("submit needs 'experiment'".to_owned());
     };
     let Some(experiment) = experiments::find(experiment_id) else {
         return fail(format!("unknown experiment '{experiment_id}'"));
     };
-    let scale_name = request
-        .get("scale")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("smoke");
+    let scale_name = match optional(request, "scale", "a string", JsonValue::as_str) {
+        Ok(name) => name.unwrap_or("smoke"),
+        Err(error) => return error,
+    };
     let Some(scale) = Scale::parse(scale_name) else {
         return fail(format!("unknown scale '{scale_name}'"));
     };
-    let format_name = request
-        .get("format")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("csv");
+    let format_name = match optional(request, "format", "a string", JsonValue::as_str) {
+        Ok(name) => name.unwrap_or("csv"),
+        Err(error) => return error,
+    };
     let Some(format) = OutputFormat::parse(format_name) else {
         return fail(format!("unknown format '{format_name}'"));
     };
-    let priority = request
-        .get("priority")
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0);
+    let priority = match optional(
+        request,
+        "priority",
+        "a non-negative integer",
+        JsonValue::as_u64,
+    ) {
+        Ok(priority) => priority.unwrap_or(0),
+        Err(error) => return error,
+    };
     let Ok(priority) = Priority::try_from(priority) else {
         return fail(format!("priority {priority} out of range (0-255)"));
     };
-    let shards = request
-        .get("shards")
-        .and_then(JsonValue::as_usize)
-        .unwrap_or(1)
-        .max(1);
     let spec = JobSpec {
         experiment,
         scale,
         format,
-        shards,
     };
     let id = {
         let mut core = shared.lock();

@@ -47,7 +47,7 @@ fn full_is_accepted_as_a_scale() {
 
 #[test]
 fn unknown_flags_are_rejected_as_flags() {
-    for flag in ["--cvs", "-x", "--scale=quick"] {
+    for flag in ["--cvs", "-x", "--scale=quick", "--shards"] {
         let out = run(&[flag]);
         assert!(!out.status.success(), "'{flag}' should fail");
         let err = String::from_utf8(out.stderr).unwrap();

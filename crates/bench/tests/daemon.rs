@@ -11,7 +11,8 @@ use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
-use mapg_bench::{Client, Daemon, DaemonConfig};
+use mapg::fuzz::parse_json;
+use mapg_bench::{Client, ClientError, Daemon, DaemonConfig};
 
 const WAIT: Duration = Duration::from_secs(300);
 
@@ -32,6 +33,41 @@ fn start(config: DaemonConfig) -> (Daemon, Client) {
 fn stop(daemon: Daemon, client: &Client) {
     client.shutdown().expect("shutdown accepted");
     daemon.wait();
+}
+
+/// A submit key present with the wrong JSON type is refused with an
+/// error naming the key — never coerced to its default — while the same
+/// request with the key absent is accepted.
+#[test]
+fn submit_rejects_mistyped_fields_by_name() {
+    let (daemon, client) = start(DaemonConfig {
+        max_jobs: 1,
+        paused: true,
+        ..DaemonConfig::default()
+    });
+    let submit = |extra: &str| {
+        let text = format!(r#"{{"op": "submit", "experiment": "R-T1"{extra}}}"#);
+        client.roundtrip(&parse_json(&text).expect("test request is valid JSON"))
+    };
+    for (field, extra) in [
+        ("priority", r#", "priority": "9""#),
+        ("priority", r#", "priority": -1"#),
+        ("priority", r#", "priority": 1.5"#),
+        ("scale", r#", "scale": 3"#),
+        ("format", r#", "format": true"#),
+        ("client", r#", "client": 7"#),
+        ("client", r#", "client": null"#),
+    ] {
+        match submit(extra) {
+            Err(ClientError::Daemon(message)) => assert!(
+                message.contains(&format!("'{field}'")),
+                "{extra}: error does not name '{field}': {message}"
+            ),
+            other => panic!("{extra}: expected a refusal, got {other:?}"),
+        }
+    }
+    submit("").expect("absent keys keep their defaults");
+    stop(daemon, &client);
 }
 
 /// Round-robin across clients, FIFO within a client, priority on top:

@@ -245,11 +245,6 @@ impl ProfileSpec {
 pub struct Scenario {
     /// Number of cores.
     pub cores: usize,
-    /// Independent memory channels (topology; clamped to `cores`).
-    pub channels: usize,
-    /// Shard count for the sharded engine — must never change any
-    /// result; the differ cross-checks sharded-vs-wheel substrate runs.
-    pub shards: usize,
     /// Instructions each core retires.
     pub instructions: u64,
     /// Simulation master seed.
@@ -340,10 +335,6 @@ impl Scenario {
         };
         Scenario {
             cores,
-            // Weighted toward 1 (the classic shared topology); larger
-            // values exercise clamping (channels > cores is legal).
-            channels: *rng.pick(&[1usize, 1, 1, 2, 3, 4, 8]),
-            shards: *rng.pick(&[1usize, 2, 3, 5, 8]),
             instructions: *rng.pick(&[50, 200, 1_000, 5_000, 20_000, 80_000]),
             sim_seed: rng.below(1 << 48),
             policy: *rng.pick(&POLICY_POOL),
@@ -437,8 +428,6 @@ impl Scenario {
         let mut config = SimConfig::default()
             .with_profile(profile)
             .try_with_cores(self.cores)?
-            .try_with_channels(self.channels)?
-            .try_with_shards(self.shards)?
             .try_with_instructions(self.instructions)?
             .with_seed(self.sim_seed)
             .with_core(core)
@@ -570,8 +559,6 @@ impl Scenario {
         };
         JsonValue::Object(vec![
             ("cores".into(), num_u(self.cores as u64)),
-            ("channels".into(), num_u(self.channels as u64)),
-            ("shards".into(), num_u(self.shards as u64)),
             ("instructions".into(), num_u(self.instructions)),
             ("sim_seed".into(), num_u(self.sim_seed)),
             ("policy".into(), policy),
@@ -751,20 +738,27 @@ impl Scenario {
             }
         };
 
-        // Channels/shards default to 1 when absent so repro files written
-        // before those dimensions existed still replay bit-for-bit (1 is
-        // exactly the behaviour those runs had).
-        let legacy_default = |field: &str| -> Result<usize, MapgError> {
+        // Older repro files carry `channels`/`shards` dimensions that no
+        // longer exist. A value of 1 is exactly the one hierarchy and one
+        // event wheel every run now has; any other value described a
+        // different scenario, which must not replay as this one.
+        for field in ["channels", "shards"] {
             match value.get(field) {
-                None | Some(JsonValue::Null) => Ok(1),
-                Some(v) => v.as_u64().map(|n| n as usize).ok_or_else(|| missing(field)),
+                None | Some(JsonValue::Null) => {}
+                Some(v) if v.as_u64() == Some(1) => {}
+                Some(v) => {
+                    return Err(MapgError::invalid(format!(
+                        "scenario field '{field}' = {} is no longer supported: \
+                         runs have one memory hierarchy and one event wheel, \
+                         so only 1 replays",
+                        json::write(v)
+                    )))
+                }
             }
-        };
+        }
 
         Ok(Scenario {
             cores: u64_of("cores")? as usize,
-            channels: legacy_default("channels")?,
-            shards: legacy_default("shards")?,
             instructions: u64_of("instructions")?,
             sim_seed: u64_of("sim_seed")?,
             policy,
@@ -858,39 +852,34 @@ mod tests {
         }
     }
 
-    /// Repro files written before the channels/shards dimensions existed
-    /// must parse with both defaulted to 1 — the behaviour those runs
-    /// actually had.
+    /// Repro files from before the channels/shards dimensions were
+    /// removed replay only when both are absent or 1; any other value
+    /// described a different scenario and is rejected by name.
     #[test]
-    fn legacy_json_without_channels_or_shards_defaults_to_one() {
+    fn removed_topology_fields_replay_only_at_one() {
         let scenario = Scenario::generate(0xCAFE, 3);
-        let JsonValue::Object(mut fields) = scenario.to_json() else {
+        let JsonValue::Object(fields) = scenario.to_json() else {
             panic!("scenario JSON is an object");
         };
-        fields.retain(|(k, _)| k != "channels" && k != "shards");
-        let back = Scenario::from_json(&JsonValue::Object(fields)).unwrap();
-        assert_eq!(back.channels, 1);
-        assert_eq!(back.shards, 1);
-        assert_eq!(
-            Scenario {
-                channels: 1,
-                shards: 1,
-                ..scenario
-            },
-            back
-        );
+        let with = |extra: &[(&str, u64)]| {
+            let mut fields = fields.clone();
+            for (key, n) in extra {
+                fields.push(((*key).into(), JsonValue::Number(n.to_string())));
+            }
+            Scenario::from_json(&JsonValue::Object(fields))
+        };
+        assert_eq!(with(&[]).unwrap(), scenario);
+        assert_eq!(with(&[("channels", 1), ("shards", 1)]).unwrap(), scenario);
+        for field in ["channels", "shards"] {
+            let err = with(&[(field, 4)]).unwrap_err().to_string();
+            assert!(err.contains(&format!("'{field}' = 4")), "{err}");
+        }
     }
 
     #[test]
     fn hand_edited_out_of_range_fields_are_rejected() {
         let mut scenario = Scenario::generate(5, 5);
         scenario.switch_width_ratio = 0.5;
-        assert!(scenario.build_config().is_err());
-        let mut scenario = Scenario::generate(5, 5);
-        scenario.channels = 0;
-        assert!(scenario.build_config().is_err());
-        let mut scenario = Scenario::generate(5, 5);
-        scenario.shards = 0;
         assert!(scenario.build_config().is_err());
         let mut scenario = Scenario::generate(5, 5);
         scenario.profile.compute_ipc = 100.0;

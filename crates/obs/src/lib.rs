@@ -26,14 +26,12 @@
 //! # Determinism contract
 //!
 //! A simulation emits events in simulation order; the buffer preserves
-//! insertion order and the JSON renderings iterate sorted maps. Sharded
-//! cluster runs give each shard worker a private [`ObsHandle::fork`] and
-//! merge the forks back in deterministic channel/step order, so two runs
-//! with the same configuration produce byte-identical traces and metrics
-//! regardless of how many worker threads the harness uses — whether the
-//! parallelism is across simulations (the suite runner) or within one
-//! (the sharded event wheel). That property is what the workspace's
-//! regression suite pins.
+//! insertion order and the JSON renderings iterate sorted maps. Each
+//! simulation owns its handle and runs on one thread, so two runs with the
+//! same configuration produce byte-identical traces and metrics regardless
+//! of how many worker threads the harness spreads simulations over (the
+//! suite runner). That property is what the workspace's regression suite
+//! pins.
 //!
 //! ```
 //! use mapg_obs::{EventKind, ObsHandle, Scope};
