@@ -1,7 +1,7 @@
 //! The dedicated throughput-benchmark binary.
 //!
-//! Runs exactly the `experiments --bench-throughput` mode and nothing
-//! else. The measurement lives in its own binary on purpose: linking the
+//! Measures the throughput suite and nothing else. The measurement
+//! lives in its own binary on purpose: linking the
 //! timed hot loop into the full experiment driver demonstrably shifts
 //! LTO inlining and code layout enough to slow the optimized stack by
 //! ~25% while leaving the reference stack untouched, which corrupts the

@@ -10,7 +10,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use mapg::fuzz::{parse_json, write_json, JsonValue};
+use mapg_obs::json::{self, JsonValue};
 
 /// Errors a client call can hit: transport trouble, a malformed
 /// response, or a daemon-side `"ok": false` refusal.
@@ -148,14 +148,11 @@ impl Client {
         let response = self.roundtrip(&request(
             "submit",
             vec![
-                ("client".into(), JsonValue::String(client_name.to_owned())),
-                (
-                    "experiment".into(),
-                    JsonValue::String(experiment.to_owned()),
-                ),
-                ("scale".into(), JsonValue::String(scale.to_owned())),
-                ("format".into(), JsonValue::String(format.to_owned())),
-                ("priority".into(), JsonValue::Number(priority.to_string())),
+                ("client".into(), client_name.into()),
+                ("experiment".into(), experiment.into()),
+                ("scale".into(), scale.into()),
+                ("format".into(), format.into()),
+                ("priority".into(), u32::from(priority).into()),
             ],
         ))?;
         response
@@ -271,13 +268,7 @@ impl Client {
         );
         send_line(
             &stream,
-            &request(
-                "stream",
-                vec![
-                    id_field(id),
-                    ("from".into(), JsonValue::Number(from.to_string())),
-                ],
-            ),
+            &request("stream", vec![id_field(id), ("from".into(), from.into())]),
         )?;
         let header = read_line(&mut reader)?
             .ok_or_else(|| ClientError::Protocol("daemon closed without responding".into()))?;
@@ -332,8 +323,8 @@ impl Client {
         self.roundtrip(&request(
             "quota",
             vec![
-                ("client".into(), JsonValue::String(client_name.to_owned())),
-                ("quota".into(), JsonValue::Number(quota.to_string())),
+                ("client".into(), client_name.into()),
+                ("quota".into(), quota.into()),
             ],
         ))?;
         Ok(())
@@ -359,16 +350,16 @@ impl Client {
 }
 
 fn request(op: &str, mut fields: Vec<(String, JsonValue)>) -> JsonValue {
-    fields.insert(0, ("op".into(), JsonValue::String(op.to_owned())));
+    fields.insert(0, ("op".into(), op.into()));
     JsonValue::Object(fields)
 }
 
 fn id_field(id: u64) -> (String, JsonValue) {
-    ("id".into(), JsonValue::Number(id.to_string()))
+    ("id".into(), id.into())
 }
 
 fn send_line(mut stream: &TcpStream, value: &JsonValue) -> Result<(), ClientError> {
-    let mut line = write_json(value);
+    let mut line = json::write(value);
     line.push('\n');
     stream
         .write_all(line.as_bytes())
@@ -384,7 +375,7 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<Option<JsonValue>, Cli
     if n == 0 {
         return Ok(None);
     }
-    parse_json(&line)
+    json::parse(&line)
         .map(Some)
         .map_err(|e| ClientError::Protocol(format!("bad response line: {e} in {line:?}")))
 }
@@ -402,7 +393,7 @@ fn check_ok(response: JsonValue) -> Result<JsonValue, ClientError> {
         )),
         None => Err(ClientError::Protocol(format!(
             "response lacks 'ok': {}",
-            write_json(&response)
+            json::write(&response)
         ))),
     }
 }

@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use mapg::fuzz::{parse_json, write_json, JsonValue};
+use mapg_obs::json::{self, JsonValue};
 use mapg_obs::{EventHub, MetricsHub};
 use mapg_pool::{CancelToken, FairQueue, JobOutcome, Priority, Supervisor};
 
@@ -475,7 +475,7 @@ fn handle_connection(
         return Ok(()); // bare connect (the shutdown poke) — nothing to do
     }
     let mut stream = stream;
-    let request = match parse_json(&line) {
+    let request = match json::parse(&line) {
         Ok(doc) => doc,
         Err(error) => return respond(&mut stream, &fail(format!("malformed request: {error}"))),
     };
@@ -487,10 +487,7 @@ fn handle_connection(
             &mut stream,
             &ok(vec![
                 ("server".into(), JsonValue::String("mapgd".into())),
-                (
-                    "protocol".into(),
-                    JsonValue::Number(PROTOCOL_VERSION.to_string()),
-                ),
+                ("protocol".into(), PROTOCOL_VERSION.into()),
             ]),
         ),
         "submit" => {
@@ -622,7 +619,7 @@ fn op_submit(shared: &Arc<Shared>, request: &JsonValue) -> JsonValue {
     };
     shared.work.notify_all();
     eprintln!("[mapgd] job {id} queued: {experiment_id} for '{client}' (priority {priority})");
-    ok(vec![("id".into(), JsonValue::Number(id.to_string()))])
+    ok(vec![("id".into(), id.into())])
 }
 
 fn op_status(shared: &Arc<Shared>, request: &JsonValue) -> JsonValue {
@@ -674,8 +671,8 @@ fn op_cancel(shared: &Arc<Shared>, request: &JsonValue) -> JsonValue {
         shared.work.notify_all();
     }
     ok(vec![
-        ("id".into(), JsonValue::Number(id.to_string())),
-        ("cancelled".into(), JsonValue::Bool(cancelled)),
+        ("id".into(), id.into()),
+        ("cancelled".into(), cancelled.into()),
         ("state".into(), JsonValue::String(state)),
     ])
 }
@@ -696,12 +693,12 @@ fn op_fetch(shared: &Arc<Shared>, request: &JsonValue) -> JsonValue {
         record
             .counters
             .iter()
-            .map(|(name, value)| (name.clone(), JsonValue::Number(value.to_string())))
+            .map(|(name, value)| (name.clone(), (*value).into()))
             .collect(),
     );
     ok(vec![
-        ("id".into(), JsonValue::Number(id.to_string())),
-        ("replayed".into(), JsonValue::Bool(record.replayed)),
+        ("id".into(), id.into()),
+        ("replayed".into(), record.replayed.into()),
         ("payload".into(), JsonValue::String(payload)),
         ("counters".into(), counters),
     ])
@@ -726,8 +723,8 @@ fn op_stream(
     respond(
         stream,
         &ok(vec![
-            ("id".into(), JsonValue::Number(id.to_string())),
-            ("stream".into(), JsonValue::Bool(true)),
+            ("id".into(), id.into()),
+            ("stream".into(), true.into()),
         ]),
     )?;
     let mut cursor = cursor;
@@ -737,14 +734,11 @@ fn op_stream(
         missed += batch.missed;
         for (offset, record) in batch.records.iter().enumerate() {
             let seq = cursor + batch.missed + offset as u64;
-            let line = JsonValue::Object(vec![
-                ("seq".into(), JsonValue::Number(seq.to_string())),
-                ("at".into(), JsonValue::Number(record.at.to_string())),
-                ("scope".into(), JsonValue::String(record.scope.to_string())),
-                (
-                    "kind".into(),
-                    JsonValue::String(record.kind.record_name().to_owned()),
-                ),
+            let line = JsonValue::object([
+                ("seq", seq.into()),
+                ("at", record.at.into()),
+                ("scope", JsonValue::String(record.scope.to_string())),
+                ("kind", record.kind.record_name().into()),
             ]);
             respond(stream, &line)?;
         }
@@ -762,18 +756,12 @@ fn op_stream(
     };
     respond(
         stream,
-        &JsonValue::Object(vec![
-            ("stream_end".into(), JsonValue::Bool(true)),
-            (
-                "total".into(),
-                JsonValue::Number(feed.published().to_string()),
-            ),
-            ("missed".into(), JsonValue::Number(missed.to_string())),
-            (
-                "dropped".into(),
-                JsonValue::Number(feed.evicted().to_string()),
-            ),
-            ("state".into(), JsonValue::String(state.to_owned())),
+        &JsonValue::object([
+            ("stream_end", true.into()),
+            ("total", feed.published().into()),
+            ("missed", missed.into()),
+            ("dropped", feed.evicted().into()),
+            ("state", state.into()),
         ]),
     )
 }
@@ -785,14 +773,11 @@ fn op_stats(shared: &Arc<Shared>) -> JsonValue {
             .stats()
             .into_iter()
             .map(|stats| {
-                JsonValue::Object(vec![
-                    ("client".into(), JsonValue::String(stats.client)),
-                    ("queued".into(), JsonValue::Number(stats.queued.to_string())),
-                    (
-                        "inflight".into(),
-                        JsonValue::Number(stats.inflight.to_string()),
-                    ),
-                    ("quota".into(), JsonValue::Number(stats.quota.to_string())),
+                JsonValue::object([
+                    ("client", JsonValue::String(stats.client)),
+                    ("queued", stats.queued.into()),
+                    ("inflight", stats.inflight.into()),
+                    ("quota", stats.quota.into()),
                 ])
             })
             .collect(),
@@ -804,7 +789,7 @@ fn op_stats(shared: &Arc<Shared>) -> JsonValue {
     let jobs = JsonValue::Object(
         by_state
             .into_iter()
-            .map(|(state, n)| (state.to_owned(), JsonValue::Number(n.to_string())))
+            .map(|(state, n)| (state.to_owned(), n.into()))
             .collect(),
     );
     ok(vec![
@@ -827,73 +812,52 @@ fn op_quota(shared: &Arc<Shared>, request: &JsonValue) -> JsonValue {
     shared.lock().fair.set_quota(client, quota);
     shared.work.notify_all();
     ok(vec![
-        ("client".into(), JsonValue::String(client.to_owned())),
-        ("quota".into(), JsonValue::Number(quota.to_string())),
+        ("client".into(), client.into()),
+        ("quota".into(), quota.into()),
     ])
 }
 
 fn status_fields(id: u64, record: &JobRecord) -> Vec<(String, JsonValue)> {
     let mut fields = vec![
-        ("id".into(), JsonValue::Number(id.to_string())),
-        (
-            "state".into(),
-            JsonValue::String(record.state.label().to_owned()),
-        ),
-        ("client".into(), JsonValue::String(record.client.clone())),
-        (
-            "experiment".into(),
-            JsonValue::String(record.spec.experiment.id.to_owned()),
-        ),
-        (
-            "scale".into(),
-            JsonValue::String(record.spec.scale.name().to_owned()),
-        ),
-        (
-            "format".into(),
-            JsonValue::String(record.spec.format.name().to_owned()),
-        ),
+        ("id".into(), id.into()),
+        ("state".into(), record.state.label().into()),
+        ("client".into(), record.client.as_str().into()),
+        ("experiment".into(), record.spec.experiment.id.into()),
+        ("scale".into(), record.spec.scale.name().into()),
+        ("format".into(), record.spec.format.name().into()),
         (
             "priority".into(),
             JsonValue::Number(record.priority.to_string()),
         ),
-        (
-            "attempts".into(),
-            JsonValue::Number(record.attempts.to_string()),
-        ),
-        ("replayed".into(), JsonValue::Bool(record.replayed)),
-        (
-            "terminal".into(),
-            JsonValue::Bool(record.state.is_terminal()),
-        ),
+        ("attempts".into(), record.attempts.into()),
+        ("replayed".into(), record.replayed.into()),
+        ("terminal".into(), record.state.is_terminal().into()),
     ];
     if let Some(seq) = record.started_seq {
-        fields.push(("started_seq".into(), JsonValue::Number(seq.to_string())));
+        fields.push(("started_seq".into(), seq.into()));
     }
     if let JobState::Failed(reason) = &record.state {
-        fields.push(("error".into(), JsonValue::String(reason.clone())));
+        fields.push(("error".into(), reason.as_str().into()));
     }
     fields
 }
 
 fn paused_field(paused: bool) -> (String, JsonValue) {
-    ("paused".into(), JsonValue::Bool(paused))
+    ("paused".into(), paused.into())
 }
 
 fn ok(mut fields: Vec<(String, JsonValue)>) -> JsonValue {
-    fields.insert(0, ("ok".into(), JsonValue::Bool(true)));
+    fields.insert(0, ("ok".into(), true.into()));
     JsonValue::Object(fields)
 }
 
 fn fail(error: String) -> JsonValue {
-    JsonValue::Object(vec![
-        ("ok".into(), JsonValue::Bool(false)),
-        ("error".into(), JsonValue::String(error)),
-    ])
+    JsonValue::object([("ok", false.into()), ("error", JsonValue::String(error))])
 }
 
 /// Writes one response line (the protocol is line-delimited).
 fn respond(stream: &mut TcpStream, value: &JsonValue) -> std::io::Result<()> {
-    let mut line = write_json(value);
+    let mut line = json::write(value);
     line.push('\n');
     stream.write_all(line.as_bytes())
 }

@@ -2,7 +2,7 @@
 //!
 //! One module per table/figure from DESIGN.md §5. Every experiment is a
 //! pure function `Scale -> Vec<Table>`, so the `experiments` binary, the
-//! criterion benches and the integration tests all drive the same code.
+//! benchmark and the integration tests all drive the same code.
 
 use mapg::SimConfig;
 use mapg_trace::WorkloadSuite;

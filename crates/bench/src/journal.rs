@@ -52,7 +52,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use mapg::fuzz::{parse_json, write_json, JsonValue};
+use mapg_obs::json::{self, JsonValue};
 
 use crate::manifest::TableSummary;
 
@@ -408,37 +408,28 @@ impl Journal {
                     .tables
                     .iter()
                     .map(|t| {
-                        JsonValue::Object(vec![
-                            ("id".into(), JsonValue::String(t.id.clone())),
-                            ("rows".into(), JsonValue::Number(t.rows.to_string())),
-                        ])
+                        JsonValue::object([("id", t.id.as_str().into()), ("rows", t.rows.into())])
                     })
                     .collect();
-                JsonValue::Object(vec![
-                    ("kind".into(), JsonValue::String(e.kind.clone())),
-                    ("id".into(), JsonValue::String(e.id.clone())),
-                    ("seed".into(), JsonValue::Number(e.seed.to_string())),
-                    ("digest".into(), JsonValue::Number(e.digest.to_string())),
-                    ("outcome".into(), JsonValue::String(e.outcome.clone())),
-                    ("attempts".into(), JsonValue::Number(e.attempts.to_string())),
-                    (
-                        "wall_ms".into(),
-                        JsonValue::Number(format!("{:.3}", e.wall_ms.max(0.0))),
-                    ),
-                    ("payload".into(), JsonValue::String(e.payload.clone())),
-                    ("tables".into(), JsonValue::Array(tables)),
+                JsonValue::object([
+                    ("kind", e.kind.as_str().into()),
+                    ("id", e.id.as_str().into()),
+                    ("seed", e.seed.into()),
+                    ("digest", e.digest.into()),
+                    ("outcome", e.outcome.as_str().into()),
+                    ("attempts", e.attempts.into()),
+                    ("wall_ms", json::fixed(e.wall_ms.max(0.0), 3)),
+                    ("payload", e.payload.as_str().into()),
+                    ("tables", JsonValue::Array(tables)),
                 ])
             })
             .collect();
-        let doc = JsonValue::Object(vec![
-            (
-                "schema".into(),
-                JsonValue::Number(JOURNAL_SCHEMA.to_string()),
-            ),
-            ("context".into(), JsonValue::String(self.context.clone())),
-            ("entries".into(), JsonValue::Array(entries)),
+        let doc = JsonValue::object([
+            ("schema", JOURNAL_SCHEMA.into()),
+            ("context", self.context.as_str().into()),
+            ("entries", JsonValue::Array(entries)),
         ]);
-        let mut text = write_json(&doc);
+        let mut text = json::write(&doc);
         text.push('\n');
         text
     }
@@ -452,7 +443,7 @@ impl Journal {
             path: path.to_owned(),
             detail: what,
         };
-        let doc = parse_json(text).map_err(|e| fail(format!("malformed JSON ({e})")))?;
+        let doc = json::parse(text).map_err(|e| fail(format!("malformed JSON ({e})")))?;
         let schema = doc
             .get("schema")
             .and_then(JsonValue::as_u32)

@@ -1,13 +1,13 @@
 //! Experiment harness for the MAPG reproduction.
 //!
-//! Everything the `experiments` binary, the criterion benches and the
-//! workspace integration tests share:
+//! Everything the `experiments` binary and the workspace integration
+//! tests share:
 //!
 //! - [`Scale`] — smoke / quick / paper instruction budgets;
 //! - [`Table`] — the text/CSV result format;
 //! - [`experiments`] — one module per reconstructed table/figure, plus the
 //!   [`experiments::all`] registry;
-//! - [`ThroughputReport`] — the `--bench-throughput` harness measuring
+//! - [`ThroughputReport`] — the `throughput` binary's harness measuring
 //!   simulated-cycles-per-second (event-wheel vs reference scheduler).
 //!
 //! # Regenerating the paper's evaluation

@@ -2,8 +2,8 @@
 //!
 //! `experiments --manifest out.json` emits one [`Manifest`] per run so the
 //! bench trajectory (per-experiment wall time, table sizes, job count)
-//! accumulates across CI runs and PRs. The JSON is hand-rendered — the
-//! build environment has no registry access, so no serde — and kept to a
+//! accumulates across CI runs and PRs. The document is built as a
+//! [`JsonValue`] tree and rendered by [`json::write_pretty`], with a
 //! flat, stable schema:
 //!
 //! ```json
@@ -17,7 +17,11 @@
 //!     "scenarios": 200,
 //!     "executed": 200,
 //!     "findings": [
-//!       {"scenario": 1928, "class": "panic", "shrink_steps": 4}
+//!       {
+//!         "scenario": 1928,
+//!         "class": "panic",
+//!         "shrink_steps": 4
+//!       }
 //!     ]
 //!   },
 //!   "experiments": [
@@ -27,8 +31,18 @@
 //!       "outcome": "ok",
 //!       "attempts": 1,
 //!       "wall_ms": 1.234,
-//!       "metrics": {"counters": {"gates": 42}, "histograms": {}},
-//!       "tables": [{"id": "R-T1", "rows": 7}]
+//!       "metrics": {
+//!         "counters": {
+//!           "gates": 42
+//!         },
+//!         "histograms": {}
+//!       },
+//!       "tables": [
+//!         {
+//!           "id": "R-T1",
+//!           "rows": 7
+//!         }
+//!       ]
 //!     }
 //!   ]
 //! }
@@ -47,6 +61,7 @@
 //! manifest is byte-identical between an uninterrupted run and a
 //! kill-and-resume run; real wall times live in the journal.
 
+use mapg_obs::json::{self, JsonValue};
 use mapg_obs::MetricsRegistry;
 
 use crate::fuzz::CampaignReport;
@@ -170,112 +185,52 @@ impl Manifest {
     /// Renders the manifest as pretty-printed JSON (trailing newline
     /// included).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", MANIFEST_SCHEMA));
-        out.push_str(&format!(
-            "  \"scale\": {},\n",
-            json_string(self.scale.name())
-        ));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "  \"total_wall_ms\": {},\n",
-            json_number(self.total_wall_ms)
-        ));
+        let mut doc = vec![
+            ("schema", MANIFEST_SCHEMA.into()),
+            ("scale", self.scale.name().into()),
+            ("jobs", self.jobs.into()),
+            ("total_wall_ms", json::fixed(self.total_wall_ms, 3)),
+        ];
         if let Some(fuzz) = &self.fuzz {
-            out.push_str("  \"fuzz\": {\n");
-            out.push_str(&format!("    \"seed\": {},\n", fuzz.seed));
-            out.push_str(&format!("    \"scenarios\": {},\n", fuzz.scenarios));
-            out.push_str(&format!("    \"executed\": {},\n", fuzz.executed));
-            out.push_str("    \"findings\": [");
-            for (i, finding) in fuzz.findings.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n      {{\"scenario\": {}, \"class\": {}, \"shrink_steps\": {}}}",
-                    finding.scenario,
-                    json_string(&finding.class),
-                    finding.shrink_steps
-                ));
-            }
-            if !fuzz.findings.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push_str("]\n  },\n");
+            let findings = fuzz.findings.iter().map(|finding| {
+                JsonValue::object([
+                    ("scenario", finding.scenario.into()),
+                    ("class", finding.class.as_str().into()),
+                    ("shrink_steps", finding.shrink_steps.into()),
+                ])
+            });
+            doc.push((
+                "fuzz",
+                JsonValue::object([
+                    ("seed", fuzz.seed.into()),
+                    ("scenarios", fuzz.scenarios.into()),
+                    ("executed", fuzz.executed.into()),
+                    ("findings", JsonValue::Array(findings.collect())),
+                ]),
+            ));
         }
-        out.push_str("  \"experiments\": [");
-        for (i, entry) in self.experiments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"id\": {},\n", json_string(&entry.id)));
-            out.push_str(&format!(
-                "      \"title\": {},\n",
-                json_string(&entry.title)
-            ));
-            out.push_str(&format!(
-                "      \"outcome\": {},\n",
-                json_string(&entry.outcome)
-            ));
-            out.push_str(&format!("      \"attempts\": {},\n", entry.attempts));
-            out.push_str(&format!(
-                "      \"wall_ms\": {},\n",
-                json_number(entry.wall_ms)
-            ));
+        let experiments = self.experiments.iter().map(|entry| {
+            let mut fields = vec![
+                ("id", entry.id.as_str().into()),
+                ("title", entry.title.as_str().into()),
+                ("outcome", entry.outcome.as_str().into()),
+                ("attempts", entry.attempts.into()),
+                ("wall_ms", json::fixed(entry.wall_ms, 3)),
+            ];
             if let Some(metrics) = &entry.metrics {
-                out.push_str("      \"metrics\": {\n");
-                out.push_str(&metrics.to_json_body("        "));
-                out.push_str("      },\n");
+                fields.push(("metrics", metrics.to_json_value()));
             }
-            out.push_str("      \"tables\": [");
-            for (j, table) in entry.tables.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"id\": {}, \"rows\": {}}}",
-                    json_string(&table.id),
-                    table.rows
-                ));
-            }
-            out.push_str("]\n    }");
-        }
-        if !self.experiments.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-}
-
-/// Escapes a string per RFC 8259 and wraps it in quotes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders a finite float as a JSON number with millisecond-precision
-/// stability (3 fractional digits); non-finite values degrade to `0`.
-fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.3}")
-    } else {
-        "0".to_owned()
+            let tables = entry.tables.iter().map(|table| {
+                JsonValue::object([
+                    ("id", table.id.as_str().into()),
+                    ("rows", table.rows.into()),
+                ])
+            });
+            fields.push(("tables", JsonValue::Array(tables.collect())));
+            JsonValue::object(fields)
+        });
+        doc.push(("experiments", JsonValue::Array(experiments.collect())));
+        json::write_pretty(&JsonValue::object(doc))
     }
 }
 
@@ -324,27 +279,75 @@ mod tests {
         }
     }
 
+    fn parsed(manifest: &Manifest) -> JsonValue {
+        json::parse(&manifest.to_json()).expect("manifest is valid JSON")
+    }
+
+    fn raw(value: Option<&JsonValue>) -> &str {
+        match value {
+            Some(JsonValue::Number(raw)) => raw,
+            other => panic!("not a number: {other:?}"),
+        }
+    }
+
+    fn items(value: Option<&JsonValue>) -> &[JsonValue] {
+        match value {
+            Some(JsonValue::Array(items)) => items,
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
     #[test]
     fn renders_the_documented_schema() {
         let json = sample().to_json();
-        assert!(json.contains("\"schema\": 4"), "{json}");
-        assert!(json.contains("\"scale\": \"smoke\""), "{json}");
-        assert!(json.contains("\"jobs\": 4"), "{json}");
-        assert!(json.contains("\"total_wall_ms\": 12.346"), "{json}");
-        assert!(json.contains("\"id\": \"R-T1\""), "{json}");
-        assert!(json.contains("\"outcome\": \"ok\""), "{json}");
-        assert!(json.contains("\"outcome\": \"timed-out\""), "{json}");
-        assert!(json.contains("\"attempts\": 1"), "{json}");
-        assert!(json.contains("\"attempts\": 3"), "{json}");
-        assert!(json.contains("{\"id\": \"R-F5b\", \"rows\": 2}"), "{json}");
         assert!(json.ends_with("}\n"), "{json}");
+        let doc = parsed(&sample());
+        assert_eq!(doc.get("schema").and_then(JsonValue::as_u32), Some(4));
+        assert_eq!(doc.get("scale").and_then(JsonValue::as_str), Some("smoke"));
+        assert_eq!(doc.get("jobs").and_then(JsonValue::as_usize), Some(4));
+        assert_eq!(raw(doc.get("total_wall_ms")), "12.346");
+        let entries = items(doc.get("experiments"));
+        assert_eq!(
+            entries[0].get("id").and_then(JsonValue::as_str),
+            Some("R-T1")
+        );
+        assert_eq!(
+            entries[0].get("outcome").and_then(JsonValue::as_str),
+            Some("ok")
+        );
+        assert_eq!(
+            entries[1].get("outcome").and_then(JsonValue::as_str),
+            Some("timed-out")
+        );
+        assert_eq!(
+            entries[0].get("attempts").and_then(JsonValue::as_u32),
+            Some(1)
+        );
+        assert_eq!(
+            entries[1].get("attempts").and_then(JsonValue::as_u32),
+            Some(3)
+        );
+        let tables = items(entries[1].get("tables"));
+        assert_eq!(
+            tables[1],
+            JsonValue::object([("id", "R-F5b".into()), ("rows", 2u64.into())])
+        );
     }
 
     #[test]
     fn strings_are_escaped() {
         let json = sample().to_json();
         assert!(json.contains(r#""wake \"latency\" sweep""#), "{json}");
-        assert_eq!(json_string("a\\b\nc\t\u{1}"), "\"a\\\\b\\nc\\t\\u0001\"");
+        let doc = parsed(&sample());
+        let title = items(doc.get("experiments"))[1].get("title");
+        assert_eq!(
+            title.and_then(JsonValue::as_str),
+            Some("wake \"latency\" sweep")
+        );
+        assert_eq!(
+            json::render_string("a\\b\nc\t\u{1}"),
+            "\"a\\\\b\\nc\\t\\u0001\""
+        );
     }
 
     #[test]
@@ -357,13 +360,14 @@ mod tests {
             experiments: Vec::new(),
         };
         assert!(manifest.to_json().contains("\"experiments\": []"));
+        assert!(items(parsed(&manifest).get("experiments")).is_empty());
     }
 
     /// Schema v3: fuzz provenance renders under `"fuzz"` with one record
     /// per divergence; manifests without a campaign omit the key.
     #[test]
     fn fuzz_provenance_embeds_under_the_manifest() {
-        assert!(!sample().to_json().contains("\"fuzz\""));
+        assert!(parsed(&sample()).get("fuzz").is_none());
         let mut manifest = sample();
         manifest.experiments.clear();
         manifest.fuzz = Some(FuzzProvenance {
@@ -383,14 +387,27 @@ mod tests {
                 },
             ],
         });
-        let json = manifest.to_json();
-        assert!(json.contains("\"seed\": 1"), "{json}");
-        assert!(json.contains("\"scenarios\": 2000"), "{json}");
-        assert!(
-            json.contains("{\"scenario\": 1928, \"class\": \"panic\", \"shrink_steps\": 4}"),
-            "{json}"
+        let doc = parsed(&manifest);
+        let fuzz = doc.get("fuzz").expect("fuzz provenance");
+        assert_eq!(fuzz.get("seed").and_then(JsonValue::as_u64), Some(1));
+        assert_eq!(
+            fuzz.get("scenarios").and_then(JsonValue::as_u64),
+            Some(2000)
         );
-        assert!(json.contains("\"stats-mismatch\""), "{json}");
+        assert_eq!(fuzz.get("executed").and_then(JsonValue::as_u64), Some(1500));
+        let findings = items(fuzz.get("findings"));
+        assert_eq!(
+            findings[0],
+            JsonValue::object([
+                ("scenario", 1928u64.into()),
+                ("class", "panic".into()),
+                ("shrink_steps", 4u64.into()),
+            ])
+        );
+        assert_eq!(
+            findings[1].get("class").and_then(JsonValue::as_str),
+            Some("stats-mismatch")
+        );
 
         // A clean campaign still records its provenance.
         manifest.fuzz.as_mut().unwrap().findings.clear();
@@ -400,9 +417,11 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_degrade_to_zero() {
-        assert_eq!(json_number(f64::NAN), "0");
-        assert_eq!(json_number(f64::INFINITY), "0");
-        assert_eq!(json_number(0.5), "0.500");
+        let mut manifest = sample();
+        for (wall, rendered) in [(f64::NAN, "0"), (f64::INFINITY, "0"), (0.5, "0.500")] {
+            manifest.total_wall_ms = wall;
+            assert_eq!(raw(parsed(&manifest).get("total_wall_ms")), rendered);
+        }
     }
 
     #[test]
@@ -411,13 +430,26 @@ mod tests {
         let mut registry = MetricsRegistry::new();
         registry.count("gates", 42);
         registry.observe("gated_duration", 512);
-        manifest.experiments[0].metrics = Some(registry);
-        let json = manifest.to_json();
-        assert!(json.contains("\"metrics\": {"), "{json}");
-        assert!(json.contains("\"gates\": 42"), "{json}");
-        assert!(json.contains("\"gated_duration\""), "{json}");
+        manifest.experiments[0].metrics = Some(registry.clone());
+        let doc = parsed(&manifest);
+        let entries = items(doc.get("experiments"));
+        let metrics = entries[0].get("metrics").expect("metrics object");
+        assert_eq!(metrics, &registry.to_json_value());
+        assert_eq!(
+            metrics
+                .get("counters")
+                .unwrap()
+                .get("gates")
+                .and_then(JsonValue::as_u64),
+            Some(42)
+        );
+        assert!(metrics
+            .get("histograms")
+            .unwrap()
+            .get("gated_duration")
+            .is_some());
         // The entry without metrics stays metrics-free.
-        assert_eq!(json.matches("\"metrics\": {").count(), 1, "{json}");
+        assert!(entries[1].get("metrics").is_none());
     }
 
     #[test]

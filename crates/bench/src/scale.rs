@@ -1,13 +1,13 @@
 //! Experiment scales: every experiment runs at a chosen instruction budget
-//! so the same code serves integration tests (fast), criterion benches
-//! (medium) and the paper-regeneration run (full).
+//! so the same code serves integration tests (fast), quick interactive
+//! runs (medium) and the paper-regeneration run (full).
 
 /// How big to run an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Tiny runs for unit/integration tests (~30 k instructions per run).
     Smoke,
-    /// Medium runs for criterion benches (~100 k instructions).
+    /// Medium runs for quick interactive checks (~100 k instructions).
     Quick,
     /// The full regeneration (~1 M instructions per run).
     Paper,

@@ -1,7 +1,7 @@
 //! The committed throughput baseline: simulated-events-per-second for the
 //! cluster hot path, optimized stack vs the retained seed stack.
 //!
-//! `experiments --bench-throughput BENCH_7.json` measures the canonical
+//! `throughput BENCH_7.json` measures the canonical
 //! workload suite at each cluster size twice — once with the optimized
 //! stack ([`mapg_cpu::Cluster::run`]: event-wheel scheduler, compute
 //! batching, flattened caches/DRAM/MSHRs) and once with the frozen seed
@@ -52,6 +52,7 @@ use std::time::Instant;
 
 use mapg_cpu::{Cluster, CoreConfig, PassiveHandler, ReferenceCluster};
 use mapg_mem::{DramConfig, HierarchyConfig, PagePolicy};
+use mapg_obs::json::{self, JsonValue};
 use mapg_trace::{RecordedTrace, SyntheticWorkload, WorkloadProfile};
 
 use crate::scale::Scale;
@@ -298,93 +299,77 @@ impl ThroughputReport {
     /// Renders the report as pretty-printed JSON (trailing newline
     /// included); the format `BENCH_7.json` is committed in.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", THROUGHPUT_SCHEMA));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
-        out.push_str(&format!("  \"repeats\": {},\n", self.repeats));
-        out.push_str(&format!("  \"block_quantum\": {},\n", BLOCK_QUANTUM));
-        out.push_str(&format!(
-            "  \"headline_speedup\": {},\n",
-            json_float(self.headline_speedup())
-        ));
-        out.push_str(&format!(
-            "  \"mem_profile_speedup\": {},\n",
-            json_float(self.profile_speedup("mem"))
-        ));
-        out.push_str("  \"cases\": [");
-        for (i, case) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", case.name));
-            out.push_str(&format!("      \"profile\": \"{}\",\n", case.profile));
-            out.push_str(&format!("      \"cores\": {},\n", case.cores));
-            out.push_str(&format!(
-                "      \"simulated_events\": {},\n",
-                case.simulated_events
-            ));
-            out.push_str(&format!(
-                "      \"heap_wall_s\": {},\n",
-                json_float(case.heap_wall_s)
-            ));
-            out.push_str(&format!(
-                "      \"reference_wall_s\": {},\n",
-                json_float(case.reference_wall_s)
-            ));
-            out.push_str(&format!(
-                "      \"heap_events_per_sec\": {},\n",
-                json_float(case.heap_events_per_sec())
-            ));
-            out.push_str(&format!(
-                "      \"reference_events_per_sec\": {},\n",
-                json_float(case.reference_events_per_sec())
-            ));
-            out.push_str(&format!(
-                "      \"speedup\": {}\n",
-                json_float(case.speedup())
-            ));
-            out.push_str("    }");
-        }
-        if !self.cases.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let cases = self.cases.iter().map(|case| {
+            JsonValue::object([
+                ("name", case.name.as_str().into()),
+                ("profile", case.profile.as_str().into()),
+                ("cores", case.cores.into()),
+                ("simulated_events", case.simulated_events.into()),
+                ("heap_wall_s", json::fixed(case.heap_wall_s, 6)),
+                ("reference_wall_s", json::fixed(case.reference_wall_s, 6)),
+                (
+                    "heap_events_per_sec",
+                    json::fixed(case.heap_events_per_sec(), 6),
+                ),
+                (
+                    "reference_events_per_sec",
+                    json::fixed(case.reference_events_per_sec(), 6),
+                ),
+                ("speedup", json::fixed(case.speedup(), 6)),
+            ])
+        });
+        json::write_pretty(&JsonValue::object([
+            ("schema", THROUGHPUT_SCHEMA.into()),
+            ("scale", self.scale.name().into()),
+            ("repeats", self.repeats.into()),
+            ("block_quantum", BLOCK_QUANTUM.into()),
+            ("headline_speedup", json::fixed(self.headline_speedup(), 6)),
+            (
+                "mem_profile_speedup",
+                json::fixed(self.profile_speedup("mem"), 6),
+            ),
+            ("cases", JsonValue::Array(cases.collect())),
+        ]))
     }
 
-    /// Extracts `(name, speedup)` pairs from a rendered report — the only
-    /// fields the regression gate needs, so the committed baseline stays
-    /// readable by this crate without a JSON dependency. The top-level
-    /// `headline_speedup` is reported under the name `"headline"` and
-    /// `mem_profile_speedup` under `"mem_profile"`.
-    /// Tolerates any field order as long as `"name"` precedes its case's
-    /// `"speedup"` (which [`ThroughputReport::to_json`] guarantees).
-    pub fn parse_speedups(json: &str) -> Vec<(String, f64)> {
+    /// Reads the `(name, speedup)` pairs the regression gate checks from
+    /// a rendered report: the top-level `headline_speedup` as
+    /// `"headline"` and `mem_profile_speedup` as `"mem_profile"` (each
+    /// when present), then every case in document order.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending field when the text is not JSON, has no
+    /// `cases` array, a present top-level speedup is not a number, or a
+    /// case lacks a string `name` or a numeric `speedup`, so the gate
+    /// never checks fewer cases than the baseline lists.
+    pub fn parse_speedups(text: &str) -> Result<Vec<(String, f64)>, String> {
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
         let mut out = Vec::new();
-        let mut name: Option<String> = None;
-        for line in json.lines() {
-            let line = line.trim();
-            if let Some(rest) = line.strip_prefix("\"headline_speedup\": ") {
-                if let Ok(v) = rest.trim_end_matches(',').parse() {
-                    out.push(("headline".to_owned(), v));
-                }
-            } else if let Some(rest) = line.strip_prefix("\"mem_profile_speedup\": ") {
-                if let Ok(v) = rest.trim_end_matches(',').parse() {
-                    out.push(("mem_profile".to_owned(), v));
-                }
-            } else if let Some(rest) = line.strip_prefix("\"name\": \"") {
-                if let Some(end) = rest.find('"') {
-                    name = Some(rest[..end].to_owned());
-                }
-            } else if let Some(rest) = line.strip_prefix("\"speedup\": ") {
-                if let (Some(n), Ok(v)) = (name.take(), rest.trim_end_matches(',').parse()) {
-                    out.push((n, v));
-                }
+        for (key, name) in [
+            ("headline_speedup", "headline"),
+            ("mem_profile_speedup", "mem_profile"),
+        ] {
+            if let Some(value) = doc.get(key) {
+                let speedup = value.as_f64().ok_or(format!("'{key}' is not a number"))?;
+                out.push((name.to_owned(), speedup));
             }
         }
-        out
+        let Some(JsonValue::Array(cases)) = doc.get("cases") else {
+            return Err("no 'cases' array".to_owned());
+        };
+        for (i, case) in cases.iter().enumerate() {
+            let name = case
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or(format!("case {i} has no string 'name'"))?;
+            let speedup = case
+                .get("speedup")
+                .and_then(JsonValue::as_f64)
+                .ok_or(format!("case '{name}' has no numeric 'speedup'"))?;
+            out.push((name.to_owned(), speedup));
+        }
+        Ok(out)
     }
 }
 
@@ -392,13 +377,11 @@ impl ThroughputReport {
 /// `out_path`, and — when `baseline_path` is given — gates every
 /// committed speedup against [`THROUGHPUT_TOLERANCE`].
 ///
-/// This is the whole `--bench-throughput` mode, shared by the
-/// `experiments` driver and the dedicated `throughput` binary. CI runs
-/// the dedicated binary: the measured hot loop must not share a binary
-/// with the full experiment driver, because co-locating it with that
-/// much live code demonstrably shifts LTO inlining and code layout and
-/// slows the measured stack by ~25% (the reference stack, which is not
-/// inlining-sensitive, times identically in both binaries).
+/// This is the whole `throughput` binary. The measured hot loop must not
+/// share a binary with the full experiment driver, because co-locating
+/// it with that much live code demonstrably shifts LTO inlining and code
+/// layout and slows the measured stack by ~25% (the reference stack,
+/// which is not inlining-sensitive, times identically in both binaries).
 pub fn run_throughput_cli(
     out_path: &str,
     baseline_path: Option<&str>,
@@ -453,7 +436,13 @@ pub fn run_throughput_cli(
             return ExitCode::FAILURE;
         }
     };
-    let baseline_speedups = ThroughputReport::parse_speedups(&baseline);
+    let baseline_speedups = match ThroughputReport::parse_speedups(&baseline) {
+        Ok(speedups) => speedups,
+        Err(error) => {
+            eprintln!("malformed throughput baseline '{baseline_path}': {error}");
+            return ExitCode::FAILURE;
+        }
+    };
     if baseline_speedups.is_empty() {
         eprintln!("baseline '{baseline_path}' holds no speedup records");
         return ExitCode::FAILURE;
@@ -490,16 +479,6 @@ pub fn run_throughput_cli(
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// Renders a finite float with enough digits for sub-microsecond walls;
-/// non-finite values degrade to `0`.
-fn json_float(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:.6}")
-    } else {
-        "0".to_owned()
     }
 }
 
@@ -580,12 +559,16 @@ mod tests {
     #[test]
     fn json_round_trips_through_parse_speedups() {
         let report = sample();
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": 3"), "{json}");
-        assert!(json.contains("\"scale\": \"smoke\""), "{json}");
-        assert!(json.contains("\"block_quantum\": 4"), "{json}");
-        assert!(json.ends_with("}\n"), "{json}");
-        let speedups = ThroughputReport::parse_speedups(&json);
+        let text = report.to_json();
+        assert!(text.ends_with("}\n"), "{text}");
+        let doc = json::parse(&text).unwrap();
+        assert_eq!(doc.get("schema").and_then(JsonValue::as_u32), Some(3));
+        assert_eq!(doc.get("scale").and_then(JsonValue::as_str), Some("smoke"));
+        assert_eq!(
+            doc.get("block_quantum").and_then(JsonValue::as_u64),
+            Some(4)
+        );
+        let speedups = ThroughputReport::parse_speedups(&text).unwrap();
         assert_eq!(speedups.len(), 5);
         assert_eq!(speedups[0].0, "headline");
         assert!((speedups[0].1 - 6.0).abs() < 1e-6);
@@ -599,11 +582,51 @@ mod tests {
         assert!((speedups[4].1 - 9.0).abs() < 1e-6);
     }
 
+    /// The committed gate baseline: 15 cases plus the headline and
+    /// mem-profile geomeans.
     #[test]
-    fn parse_ignores_garbage() {
-        assert!(ThroughputReport::parse_speedups("not json at all").is_empty());
-        // A speedup with no preceding name is dropped.
-        assert!(ThroughputReport::parse_speedups("\"speedup\": 2.0\n").is_empty());
+    fn committed_baseline_yields_every_gated_speedup() {
+        let speedups =
+            ThroughputReport::parse_speedups(include_str!("../../../BENCH_7.json")).unwrap();
+        assert_eq!(speedups.len(), 17);
+        assert_eq!(speedups[0], ("headline".to_owned(), 2.530843));
+        assert_eq!(speedups[1], ("mem_profile".to_owned(), 1.928089));
+        let names: Vec<&str> = speedups[2..].iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names.len(), suite().len() * CORE_COUNTS.len());
+        assert!(names.iter().all(|n| n.contains("_cores")), "{names:?}");
+    }
+
+    #[test]
+    fn malformed_baselines_are_errors_naming_the_field() {
+        for (text, expected) in [
+            ("not json at all", "JSON parse error"),
+            ("\"speedup\": 2.0\n", "JSON parse error"),
+            (r#"{"headline_speedup": 2.0}"#, "'cases'"),
+            (
+                r#"{"headline_speedup": "fast", "cases": []}"#,
+                "'headline_speedup'",
+            ),
+            (r#"{"cases": [{"name": "mem_cores1"}]}"#, "'speedup'"),
+            (
+                r#"{"cases": [{"name": "mem_cores1", "speedup": "2x"}]}"#,
+                "'speedup'",
+            ),
+            (r#"{"cases": [{"speedup": 2.0}]}"#, "'name'"),
+        ] {
+            let error = ThroughputReport::parse_speedups(text).unwrap_err();
+            assert!(error.contains(expected), "{text}: {error}");
+        }
+    }
+
+    /// Fields are read by key, so a case whose `speedup` precedes its
+    /// `name` is still gated.
+    #[test]
+    fn speedup_before_name_is_still_gated() {
+        let text = r#"{"cases": [{"speedup": 2.5, "name": "cpu_cores16"}]}"#;
+        assert_eq!(
+            ThroughputReport::parse_speedups(text).unwrap(),
+            vec![("cpu_cores16".to_owned(), 2.5)]
+        );
     }
 
     #[test]

@@ -5,6 +5,8 @@
 
 use std::process::{Command, Output};
 
+use mapg_obs::json::{self, JsonValue};
+
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
@@ -47,7 +49,13 @@ fn full_is_accepted_as_a_scale() {
 
 #[test]
 fn unknown_flags_are_rejected_as_flags() {
-    for flag in ["--cvs", "-x", "--scale=quick", "--shards"] {
+    for flag in [
+        "--cvs",
+        "-x",
+        "--scale=quick",
+        "--shards",
+        "--bench-throughput",
+    ] {
         let out = run(&[flag]);
         assert!(!out.status.success(), "'{flag}' should fail");
         let err = String::from_utf8(out.stderr).unwrap();
@@ -147,6 +155,26 @@ fn manifest_records_the_run() {
         "\"rows\":",
     ] {
         assert!(json.contains(needle), "manifest missing '{needle}': {json}");
+    }
+    let doc = json::parse(&json).expect("manifest is valid JSON");
+    let Some(JsonValue::Array(entries)) = doc.get("experiments") else {
+        panic!("no experiments array: {json}");
+    };
+    let ids: Vec<_> = entries
+        .iter()
+        .map(|e| e.get("id").and_then(JsonValue::as_str))
+        .collect();
+    assert_eq!(ids, [Some("R-T1"), Some("R-F5")]);
+    let gates = |entry: &JsonValue| {
+        let counters = entry.get("metrics")?.get("counters")?;
+        counters.get("gates")?.as_u64()
+    };
+    assert!(entries.iter().any(|e| gates(e).is_some()), "{json}");
+    for entry in entries {
+        assert!(
+            matches!(entry.get("tables"), Some(JsonValue::Array(t)) if !t.is_empty()),
+            "{json}"
+        );
     }
 }
 
@@ -293,6 +321,15 @@ fn fuzz_campaign_writes_a_provenance_manifest() {
         "\"experiments\": []",
     ] {
         assert!(json.contains(needle), "manifest missing '{needle}': {json}");
+    }
+    let doc = json::parse(&json).expect("manifest is valid JSON");
+    let fuzz = doc.get("fuzz").expect("fuzz provenance");
+    for (key, value) in [("seed", 1), ("scenarios", 3), ("executed", 3)] {
+        assert_eq!(
+            fuzz.get(key).and_then(JsonValue::as_u64),
+            Some(value),
+            "{json}"
+        );
     }
 }
 

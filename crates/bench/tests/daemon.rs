@@ -11,8 +11,8 @@ use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
-use mapg::fuzz::parse_json;
 use mapg_bench::{Client, ClientError, Daemon, DaemonConfig};
+use mapg_obs::json::{self, JsonValue};
 
 const WAIT: Duration = Duration::from_secs(300);
 
@@ -47,7 +47,7 @@ fn submit_rejects_mistyped_fields_by_name() {
     });
     let submit = |extra: &str| {
         let text = format!(r#"{{"op": "submit", "experiment": "R-T1"{extra}}}"#);
-        client.roundtrip(&parse_json(&text).expect("test request is valid JSON"))
+        client.roundtrip(&json::parse(&text).expect("test request is valid JSON"))
     };
     for (field, extra) in [
         ("priority", r#", "priority": "9""#),
@@ -171,7 +171,7 @@ fn per_client_quota_limits_concurrent_jobs() {
         let running = stats
             .get("jobs")
             .and_then(|jobs| jobs.get("running"))
-            .and_then(mapg::fuzz::JsonValue::as_u64)
+            .and_then(JsonValue::as_u64)
             .unwrap_or(0);
         assert!(running <= 1, "quota 1 must never admit 2 running jobs");
         let s1 = client.status(j1).expect("status");

@@ -15,13 +15,15 @@
 //! dependency on the bench crate.
 
 mod differ;
-mod json;
 mod repro;
 mod scenario;
 mod shrink;
 
 pub use differ::{check_reconciliation, run_scenario, Finding, FindingClass};
-pub use json::{parse as parse_json, write as write_json, JsonParseError, JsonValue};
 pub use repro::{ReproFile, REPRO_SCHEMA};
 pub use scenario::{PhaseSpec, ProfileSpec, Scenario, SplitMix64};
 pub use shrink::{shrink, ShrinkOutcome};
+
+// The codec lives in `mapg_obs::json`; this path stays for the benchmark
+// package's self-test, which imports it from here.
+pub use mapg_obs::json::{parse as parse_json, JsonValue};

@@ -11,8 +11,8 @@ use std::path::Path;
 
 use crate::error::MapgError;
 use crate::fuzz::differ::{run_scenario, Finding, FindingClass};
-use crate::fuzz::json::{self, JsonValue};
 use crate::fuzz::scenario::Scenario;
+use mapg_obs::json::{self, JsonValue};
 
 /// Repro-file schema version.
 pub const REPRO_SCHEMA: u32 = 1;
@@ -38,27 +38,14 @@ pub struct ReproFile {
 impl ReproFile {
     /// Renders the repro as a JSON document.
     pub fn to_json_text(&self) -> String {
-        let opt = |v: Option<u64>| match v {
-            Some(n) => JsonValue::Number(n.to_string()),
-            None => JsonValue::Null,
-        };
-        let doc = JsonValue::Object(vec![
-            ("schema".into(), JsonValue::Number(REPRO_SCHEMA.to_string())),
-            ("campaign_seed".into(), opt(self.campaign_seed)),
-            ("scenario_index".into(), opt(self.scenario_index)),
-            (
-                "shrink_steps".into(),
-                JsonValue::Number(self.shrink_steps.to_string()),
-            ),
-            (
-                "finding_class".into(),
-                JsonValue::String(self.finding_class.tag().into()),
-            ),
-            (
-                "finding_detail".into(),
-                JsonValue::String(self.finding_detail.clone()),
-            ),
-            ("scenario".into(), self.scenario.to_json()),
+        let doc = JsonValue::object([
+            ("schema", REPRO_SCHEMA.into()),
+            ("campaign_seed", self.campaign_seed.into()),
+            ("scenario_index", self.scenario_index.into()),
+            ("shrink_steps", self.shrink_steps.into()),
+            ("finding_class", self.finding_class.tag().into()),
+            ("finding_detail", self.finding_detail.as_str().into()),
+            ("scenario", self.scenario.to_json()),
         ]);
         let mut text = json::write(&doc);
         text.push('\n');

@@ -10,12 +10,12 @@
 
 use crate::error::MapgError;
 use crate::faults::FaultPlan;
-use crate::fuzz::json::{self, JsonValue};
 use crate::policy::{PolicyKind, PredictorKind};
 use crate::sim::SimConfig;
 use crate::watchdog::WatchdogConfig;
 use mapg_cpu::CoreConfig;
 use mapg_mem::{DramConfig, HierarchyConfig, PagePolicy, PrefetchConfig};
+use mapg_obs::json::{self, JsonValue};
 use mapg_power::RetentionStyle;
 use mapg_trace::{IdleInjection, PhaseSchedule, WorkloadProfile};
 use mapg_units::Cycles;
@@ -467,120 +467,95 @@ impl Scenario {
 
     /// Serializes the scenario to a JSON object.
     pub fn to_json(&self) -> JsonValue {
-        let opt_u64 = |v: Option<u64>| match v {
-            Some(n) => JsonValue::Number(n.to_string()),
-            None => JsonValue::Null,
-        };
-        let num_u = |n: u64| JsonValue::Number(n.to_string());
+        let num_u = |n: u64| JsonValue::from(n);
         let num_f = |x: f64| JsonValue::Number(json::render_f64(x));
         let policy = match self.policy {
-            PolicyKind::Timeout { idle_cycles } => JsonValue::Object(vec![
-                ("name".into(), JsonValue::String("timeout".into())),
-                ("idle_cycles".into(), num_u(idle_cycles)),
+            PolicyKind::Timeout { idle_cycles } => JsonValue::object([
+                ("name", "timeout".into()),
+                ("idle_cycles", num_u(idle_cycles)),
             ]),
-            other => JsonValue::Object(vec![(
-                "name".into(),
-                JsonValue::String(other.name().into()),
-            )]),
+            other => JsonValue::object([("name", other.name().into())]),
         };
-        let profile = JsonValue::Object(vec![
+        let profile = JsonValue::object([
             (
-                "mem_refs_per_kilo_inst".into(),
+                "mem_refs_per_kilo_inst",
                 num_f(self.profile.mem_refs_per_kilo_inst),
             ),
+            ("working_set_bytes", num_u(self.profile.working_set_bytes)),
+            ("spatial_locality", num_f(self.profile.spatial_locality)),
+            ("hot_regions", num_u(self.profile.hot_regions.into())),
             (
-                "working_set_bytes".into(),
-                num_u(self.profile.working_set_bytes),
-            ),
-            (
-                "spatial_locality".into(),
-                num_f(self.profile.spatial_locality),
-            ),
-            ("hot_regions".into(), num_u(self.profile.hot_regions.into())),
-            (
-                "pointer_chase_fraction".into(),
+                "pointer_chase_fraction",
                 num_f(self.profile.pointer_chase_fraction),
             ),
-            ("write_fraction".into(), num_f(self.profile.write_fraction)),
-            ("compute_ipc".into(), num_f(self.profile.compute_ipc)),
+            ("write_fraction", num_f(self.profile.write_fraction)),
+            ("compute_ipc", num_f(self.profile.compute_ipc)),
+            ("phases", self.profile.phases.tag().into()),
             (
-                "phases".into(),
-                JsonValue::String(self.profile.phases.tag().into()),
+                "idle_interval_instructions",
+                self.profile.idle.map(|(i, _)| i).into(),
             ),
             (
-                "idle_interval_instructions".into(),
-                opt_u64(self.profile.idle.map(|(i, _)| i)),
-            ),
-            (
-                "idle_duration_cycles".into(),
-                opt_u64(self.profile.idle.map(|(_, d)| d)),
+                "idle_duration_cycles",
+                self.profile.idle.map(|(_, d)| d).into(),
             ),
         ]);
-        let faults = JsonValue::Object(vec![
-            ("slow_wake_prob".into(), num_f(self.faults.slow_wake_prob)),
+        let faults = JsonValue::object([
+            ("slow_wake_prob", num_f(self.faults.slow_wake_prob)),
+            ("slow_wake_factor", num_f(self.faults.slow_wake_factor)),
+            ("token_drop_prob", num_f(self.faults.token_drop_prob)),
             (
-                "slow_wake_factor".into(),
-                num_f(self.faults.slow_wake_factor),
-            ),
-            ("token_drop_prob".into(), num_f(self.faults.token_drop_prob)),
-            (
-                "token_retry_cycles".into(),
+                "token_retry_cycles",
                 num_u(self.faults.token_retry_cycles.raw()),
             ),
             (
-                "predictor_corrupt_prob".into(),
+                "predictor_corrupt_prob",
                 num_f(self.faults.predictor_corrupt_prob),
             ),
-            ("brownout_prob".into(), num_f(self.faults.brownout_prob)),
+            ("brownout_prob", num_f(self.faults.brownout_prob)),
             (
-                "brownout_hold_cycles".into(),
+                "brownout_hold_cycles",
                 num_u(self.faults.brownout_hold_cycles.raw()),
             ),
-            ("dram_spike_prob".into(), num_f(self.faults.dram_spike_prob)),
+            ("dram_spike_prob", num_f(self.faults.dram_spike_prob)),
             (
-                "dram_spike_cycles".into(),
+                "dram_spike_cycles",
                 num_u(self.faults.dram_spike_cycles.raw()),
             ),
-            (
-                "dram_window_cycles".into(),
-                num_u(self.faults.dram_window_cycles),
-            ),
+            ("dram_window_cycles", num_u(self.faults.dram_window_cycles)),
         ]);
         let watchdog = match &self.watchdog {
             None => JsonValue::Null,
-            Some(w) => JsonValue::Object(vec![
-                ("window".into(), num_u(w.window as u64)),
-                ("min_samples".into(), num_u(w.min_samples as u64)),
-                ("penalty_ratio".into(), num_f(w.penalty_ratio)),
-                ("failure_threshold".into(), num_f(w.failure_threshold)),
-                ("backoff_base".into(), num_u(w.backoff_base.raw())),
-                ("backoff_max".into(), num_u(w.backoff_max.raw())),
+            Some(w) => JsonValue::object([
+                ("window", num_u(w.window as u64)),
+                ("min_samples", num_u(w.min_samples as u64)),
+                ("penalty_ratio", num_f(w.penalty_ratio)),
+                ("failure_threshold", num_f(w.failure_threshold)),
+                ("backoff_base", num_u(w.backoff_base.raw())),
+                ("backoff_max", num_u(w.backoff_max.raw())),
             ]),
         };
-        JsonValue::Object(vec![
-            ("cores".into(), num_u(self.cores as u64)),
-            ("instructions".into(), num_u(self.instructions)),
-            ("sim_seed".into(), num_u(self.sim_seed)),
-            ("policy".into(), policy),
-            ("profile".into(), profile),
-            ("compute_quantum".into(), opt_u64(self.compute_quantum)),
-            ("tokens".into(), opt_u64(self.tokens.map(|t| t as u64))),
-            ("watchdog".into(), watchdog),
-            ("faults".into(), faults),
-            ("switch_width_ratio".into(), num_f(self.switch_width_ratio)),
-            ("non_retentive".into(), JsonValue::Bool(self.non_retentive)),
-            ("mlp_limit".into(), num_u(self.mlp_limit as u64)),
-            ("mshr_entries".into(), num_u(self.mshr_entries as u64)),
-            ("closed_page".into(), JsonValue::Bool(self.closed_page)),
-            (
-                "stream_prefetch".into(),
-                JsonValue::Bool(self.stream_prefetch),
-            ),
-            ("dram_latency_scale".into(), num_f(self.dram_latency_scale)),
-            ("dram_banks".into(), num_u(self.dram_banks.into())),
-            ("regate".into(), JsonValue::Bool(self.regate)),
-            ("timeline".into(), JsonValue::Bool(self.timeline)),
-            ("trace_capacity".into(), num_u(self.trace_capacity as u64)),
+        JsonValue::object([
+            ("cores", num_u(self.cores as u64)),
+            ("instructions", num_u(self.instructions)),
+            ("sim_seed", num_u(self.sim_seed)),
+            ("policy", policy),
+            ("profile", profile),
+            ("compute_quantum", self.compute_quantum.into()),
+            ("tokens", self.tokens.map(|t| t as u64).into()),
+            ("watchdog", watchdog),
+            ("faults", faults),
+            ("switch_width_ratio", num_f(self.switch_width_ratio)),
+            ("non_retentive", self.non_retentive.into()),
+            ("mlp_limit", num_u(self.mlp_limit as u64)),
+            ("mshr_entries", num_u(self.mshr_entries as u64)),
+            ("closed_page", self.closed_page.into()),
+            ("stream_prefetch", self.stream_prefetch.into()),
+            ("dram_latency_scale", num_f(self.dram_latency_scale)),
+            ("dram_banks", num_u(self.dram_banks.into())),
+            ("regate", self.regate.into()),
+            ("timeline", self.timeline.into()),
+            ("trace_capacity", num_u(self.trace_capacity as u64)),
         ])
     }
 
@@ -808,7 +783,7 @@ fn parse_policy_name(name: &str) -> Option<PolicyKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::json::{parse, write};
+    use mapg_obs::json::{parse, write};
 
     #[test]
     fn generation_is_deterministic() {
@@ -864,7 +839,7 @@ mod tests {
         let with = |extra: &[(&str, u64)]| {
             let mut fields = fields.clone();
             for (key, n) in extra {
-                fields.push(((*key).into(), JsonValue::Number(n.to_string())));
+                fields.push(((*key).into(), (*n).into()));
             }
             Scenario::from_json(&JsonValue::Object(fields))
         };

@@ -378,8 +378,8 @@ impl SimConfig {
     ///
     /// Reports must be identical either way — that is the equivalence the
     /// proptest oracle enforces. The knob exists for those oracle tests
-    /// and for the `bench-throughput` harness, which measures the
-    /// optimized stack's speedup against this reference.
+    /// and for the `throughput` binary, which measures the optimized
+    /// stack's speedup against this reference.
     pub fn with_reference_scheduler(mut self) -> Self {
         self.reference_scheduler = true;
         self

@@ -13,10 +13,10 @@
 //!   batching, the heap scheduler and the flattened caches) reproduces this
 //!   stack's core interleaving, statistics and `RunReport`s bit-for-bit
 //!   across random core counts, workload mixes and seeds;
-//! - **throughput baseline** — the `bench-throughput` harness and the
-//!   `scheduler` criterion bench measure the optimized stack's
-//!   simulated-cycles-per-second against this one, so the committed speedup
-//!   is a true before/after comparison reproducible in one binary.
+//! - **throughput baseline** — the `throughput` binary measures the
+//!   optimized stack's simulated-cycles-per-second against this one, so the
+//!   committed speedup is a true before/after comparison reproducible in one
+//!   binary.
 //!
 //! Nothing here should be optimized: its cost *is* the baseline.
 

@@ -12,7 +12,7 @@
 //!   pins every optimization in [`Cache`](crate::Cache) /
 //!   [`Dram`](crate::Dram) / [`MemoryHierarchy`](crate::MemoryHierarchy) to
 //!   the seed semantics;
-//! - **throughput baseline** — the `bench-throughput` harness measures the
+//! - **throughput baseline** — the `throughput` binary measures the
 //!   optimized stack's simulated-cycles-per-second against this one, so the
 //!   committed speedup is a true before/after comparison reproducible in one
 //!   binary.

@@ -1,11 +1,20 @@
-//! A minimal JSON reader/writer for repro files.
+//! The workspace's one JSON codec.
 //!
-//! The build environment has no registry access, so no serde: rendering
-//! follows the hand-written style of `mapg-bench`'s manifest, and this
-//! module adds the inverse — a small recursive-descent parser producing a
-//! [`JsonValue`] tree. Numbers keep their raw text so `u64` seeds survive
-//! beyond 2^53 and floats round-trip bit-exactly through Rust's
-//! shortest-representation formatting.
+//! Every artifact — repro files, journals, daemon wire messages,
+//! manifests, metrics and throughput records — is built as a
+//! [`JsonValue`] tree and rendered here: [`write`] for one-line documents
+//! (repros, journals, the wire protocol), [`write_pretty`] for files
+//! people read. Every artifact reader parses with [`parse`]. The build
+//! environment has no registry access, so no serde. Numbers keep their raw
+//! text so `u64` seeds survive beyond 2^53 and floats round-trip
+//! bit-exactly through Rust's shortest-representation formatting
+//! ([`render_f64`]); wall times and ratios use [`fixed`] decimals.
+//!
+//! The Chrome trace export ([`TraceBuffer::to_chrome_trace`]) is the one
+//! writer that does not build a tree: it streams up to millions of
+//! records with static ASCII names, where a tree would allocate per record.
+//!
+//! [`TraceBuffer::to_chrome_trace`]: crate::TraceBuffer::to_chrome_trace
 
 use core::fmt;
 
@@ -86,6 +95,42 @@ impl JsonValue {
     /// True when the value is `null`.
     pub fn is_null(&self) -> bool {
         matches!(self, JsonValue::Null)
+    }
+
+    /// An object with `entries` in the given order.
+    pub fn object<K: Into<String>>(entries: impl IntoIterator<Item = (K, JsonValue)>) -> Self {
+        JsonValue::Object(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+macro_rules! number_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(n: $t) -> Self {
+                JsonValue::Number(n.to_string())
+            }
+        }
+    )*};
+}
+
+number_from!(u32, u64, usize);
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_owned())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(JsonValue::Null, Into::into)
     }
 }
 
@@ -288,14 +333,27 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErr
     }
 }
 
-/// Renders a value as a compact JSON document with stable field order.
+/// Renders a value as a one-line JSON document with stable field order.
 pub fn write(value: &JsonValue) -> String {
     let mut out = String::new();
-    write_value(value, &mut out);
+    write_value(value, None, &mut out);
     out
 }
 
-fn write_value(value: &JsonValue, out: &mut String) {
+/// Renders a value as an indented JSON document: two spaces per level,
+/// one member or element per line, `[]`/`{}` for empty containers, and a
+/// trailing newline.
+pub fn write_pretty(value: &JsonValue) -> String {
+    let mut out = String::new();
+    write_value(value, Some(0), &mut out);
+    out.push('\n');
+    out
+}
+
+/// Writes `value`; `depth` is its nesting level in a pretty document, or
+/// `None` for the one-line layout.
+fn write_value(value: &JsonValue, depth: Option<usize>, out: &mut String) {
+    let inner = depth.map(|d| d + 1);
     match value {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(true) => out.push_str("true"),
@@ -305,25 +363,50 @@ fn write_value(value: &JsonValue, out: &mut String) {
         JsonValue::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_value(item, out);
+                start_member(i, inner, out);
+                write_value(item, inner, out);
             }
+            end_container(items.is_empty(), depth, out);
             out.push(']');
         }
         JsonValue::Object(entries) => {
             out.push('{');
             for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
+                start_member(i, inner, out);
                 out.push_str(&render_string(key));
                 out.push_str(": ");
-                write_value(item, out);
+                write_value(item, inner, out);
             }
+            end_container(entries.is_empty(), depth, out);
             out.push('}');
         }
+    }
+}
+
+/// Separates member `i` from the one before it: a comma, then a new
+/// indented line (pretty) or a space (one-line).
+fn start_member(i: usize, depth: Option<usize>, out: &mut String) {
+    if i > 0 {
+        out.push(',');
+    }
+    match depth {
+        Some(depth) => newline(depth, out),
+        None if i > 0 => out.push(' '),
+        None => {}
+    }
+}
+
+/// Puts a non-empty pretty container's closing bracket on its own line.
+fn end_container(empty: bool, depth: Option<usize>, out: &mut String) {
+    if let (false, Some(depth)) = (empty, depth) {
+        newline(depth, out);
+    }
+}
+
+fn newline(depth: usize, out: &mut String) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
     }
 }
 
@@ -356,6 +439,16 @@ pub fn render_string(s: &str) -> String {
 pub fn render_f64(value: f64) -> String {
     assert!(value.is_finite(), "cannot render non-finite float {value}");
     format!("{value:?}")
+}
+
+/// A number with `decimals` fixed fractional digits, for wall times,
+/// rates and ratios; non-finite values render as `0`.
+pub fn fixed(value: f64, decimals: usize) -> JsonValue {
+    if value.is_finite() {
+        JsonValue::Number(format!("{value:.decimals$}"))
+    } else {
+        JsonValue::Number("0".to_owned())
+    }
 }
 
 #[cfg(test)]
@@ -409,5 +502,46 @@ mod tests {
         let rendered = render_string(original);
         let parsed = parse(&rendered).unwrap();
         assert_eq!(parsed.as_str(), Some(original));
+    }
+
+    #[test]
+    fn pretty_layout_matches_the_committed_throughput_records() {
+        for text in [
+            include_str!("../../../BENCH_4.json"),
+            include_str!("../../../BENCH_7.json"),
+        ] {
+            assert_eq!(write_pretty(&parse(text).unwrap()), text);
+        }
+    }
+
+    #[test]
+    fn pretty_layout_of_nested_and_empty_containers() {
+        let doc = JsonValue::object([
+            ("a", JsonValue::Array(Vec::new())),
+            ("b", JsonValue::Object(Vec::new())),
+            (
+                "c",
+                JsonValue::Array(vec![1u64.into(), JsonValue::object([("d", "e".into())])]),
+            ),
+        ]);
+        assert_eq!(
+            write_pretty(&doc),
+            "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [\n    1,\n    {\n      \"d\": \"e\"\n    }\n  ]\n}\n"
+        );
+        assert_eq!(write(&doc), r#"{"a": [], "b": {}, "c": [1, {"d": "e"}]}"#);
+        assert_eq!(parse(&write_pretty(&doc)).unwrap(), doc);
+    }
+
+    #[test]
+    fn fixed_decimals_degrade_non_finite_values_to_zero() {
+        assert_eq!(fixed(0.5, 3), JsonValue::Number("0.500".to_owned()));
+        assert_eq!(fixed(12.3456, 3), JsonValue::Number("12.346".to_owned()));
+        assert_eq!(
+            fixed(1.0 / 3.0, 6),
+            JsonValue::Number("0.333333".to_owned())
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(fixed(bad, 3), JsonValue::Number("0".to_owned()));
+        }
     }
 }

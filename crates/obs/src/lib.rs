@@ -52,6 +52,7 @@
 mod event;
 mod feed;
 mod handle;
+pub mod json;
 mod metrics;
 mod trace;
 

@@ -4,6 +4,8 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use crate::json::{self, JsonValue};
+
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i ≥ 1` holds
 /// values in `[2^(i-1), 2^i)`, up to the full `u64` range.
 const BUCKETS: usize = 65;
@@ -201,58 +203,36 @@ impl MetricsRegistry {
         }
     }
 
+    /// The registry as a JSON tree: a `counters` object and a
+    /// `histograms` object (count, sum, min, max, mean and the non-empty
+    /// buckets keyed by lower bound), both sorted by name.
+    pub fn to_json_value(&self) -> JsonValue {
+        let counters = self.counters().map(|(name, value)| (name, value.into()));
+        let histograms = self.histograms().map(|(name, hist)| {
+            let buckets = hist
+                .nonzero_buckets()
+                .into_iter()
+                .map(|(lo, n)| (lo.to_string(), n.into()));
+            let summary = JsonValue::object([
+                ("count", hist.count().into()),
+                ("sum", hist.sum().into()),
+                ("min", hist.min().into()),
+                ("max", hist.max().into()),
+                ("mean", json::fixed(hist.mean(), 3)),
+                ("buckets", JsonValue::object(buckets)),
+            ]);
+            (name, summary)
+        });
+        JsonValue::object([
+            ("counters", JsonValue::object(counters)),
+            ("histograms", JsonValue::object(histograms)),
+        ])
+    }
+
     /// Renders the registry as deterministic, pretty-printed JSON
     /// (sorted names, stable number formats, trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&self.to_json_body("  "));
-        out.push_str("}\n");
-        out
-    }
-
-    /// The registry body (counters + histograms objects) without the
-    /// outer braces, each line prefixed with `indent` — for embedding in
-    /// larger hand-rolled JSON documents.
-    pub fn to_json_body(&self, indent: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{indent}\"counters\": {{"));
-        for (i, (name, value)) in self.counters().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n{indent}  \"{name}\": {value}"));
-        }
-        if !self.counters.is_empty() {
-            out.push_str(&format!("\n{indent}"));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!("{indent}\"histograms\": {{"));
-        for (i, (name, hist)) in self.histograms().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{indent}  \"{name}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \
-                 \"max\": {}, \"mean\": {:.3}, \"buckets\": {{",
-                hist.count(),
-                hist.sum(),
-                hist.min(),
-                hist.max(),
-                hist.mean()
-            ));
-            for (j, (lo, n)) in hist.nonzero_buckets().into_iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{lo}\": {n}"));
-            }
-            out.push_str("}}");
-        }
-        if !self.histograms.is_empty() {
-            out.push_str(&format!("\n{indent}"));
-        }
-        out.push_str("}\n");
-        out
+        json::write_pretty(&self.to_json_value())
     }
 }
 
@@ -373,19 +353,22 @@ mod tests {
         r.count("zeta", 1);
         r.count("alpha", 2);
         r.observe("lat", 3);
-        let json = r.to_json();
-        assert_eq!(json, r.to_json());
-        let alpha = json.find("\"alpha\"").unwrap();
-        let zeta = json.find("\"zeta\"").unwrap();
-        assert!(alpha < zeta, "counters must render sorted: {json}");
-        assert!(
-            json.contains("\"lat\": {\"count\": 1, \"sum\": 3"),
-            "{json}"
-        );
-        assert!(json.ends_with("}\n"));
-        assert!(MetricsRegistry::new()
-            .to_json()
-            .contains("\"counters\": {}"));
+        let text = r.to_json();
+        assert_eq!(text, r.to_json());
+        assert!(text.ends_with("}\n"));
+        let doc = json::parse(&text).unwrap();
+        assert_eq!(doc, r.to_json_value());
+        let JsonValue::Object(counters) = doc.get("counters").unwrap() else {
+            panic!("counters is not an object: {text}");
+        };
+        let names: Vec<&str> = counters.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["alpha", "zeta"], "counters must render sorted");
+        assert_eq!(counters[0].1.as_u64(), Some(2));
+        let lat = doc.get("histograms").unwrap().get("lat").unwrap();
+        assert_eq!(lat.get("count").unwrap().as_u64(), Some(1));
+        assert_eq!(lat.get("sum").unwrap().as_u64(), Some(3));
+        let empty = json::parse(&MetricsRegistry::new().to_json()).unwrap();
+        assert_eq!(empty.get("counters"), Some(&JsonValue::Object(Vec::new())));
     }
 
     #[test]

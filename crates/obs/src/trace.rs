@@ -278,13 +278,14 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing '{needle}' in: {json}");
         }
-        // Balanced-brace sanity: every line is one JSON object.
-        for line in json.lines().skip(1) {
-            let line = line.trim().trim_end_matches(',');
-            if line.starts_with('{') {
-                assert!(line.ends_with('}'), "unterminated object: {line}");
-            }
-        }
+        let doc = crate::json::parse(&json).unwrap();
+        assert!(
+            matches!(
+                doc.get("traceEvents"),
+                Some(crate::json::JsonValue::Array(_))
+            ),
+            "{json}"
+        );
     }
 
     #[test]

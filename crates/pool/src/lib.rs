@@ -50,9 +50,7 @@ mod fair;
 mod supervise;
 
 pub use fair::{ClientStats, Dispatch, FairQueue, Priority};
-pub use supervise::{
-    CancelToken, JobCtx, JobFailure, JobOutcome, JobReport, Supervisor, POLL_INTERVAL,
-};
+pub use supervise::{CancelToken, JobCtx, JobOutcome, JobReport, Supervisor, POLL_INTERVAL};
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -63,7 +61,7 @@ thread_local! {
     static DEFAULT_JOBS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// The job count [`Pool::with_default_jobs`] uses: the innermost active
+/// The default job count: the innermost active
 /// [`with_default_jobs`] override on this thread, else the
 /// `MAPG_JOBS` environment variable (see [`env_jobs`]), else
 /// [`std::thread::available_parallelism`] (1 if that is unavailable).
@@ -137,11 +135,6 @@ impl Pool {
     pub fn new(jobs: usize) -> Self {
         assert!(jobs > 0, "job count must be at least 1");
         Pool { jobs }
-    }
-
-    /// A pool sized by [`default_jobs`].
-    pub fn with_default_jobs() -> Self {
-        Pool::new(default_jobs())
     }
 
     /// The configured job count.
@@ -218,13 +211,6 @@ impl Pool {
                     .expect("worker exited without producing a result")
             })
             .collect()
-    }
-}
-
-impl Default for Pool {
-    /// Equivalent to [`Pool::with_default_jobs`].
-    fn default() -> Self {
-        Pool::with_default_jobs()
     }
 }
 
@@ -361,7 +347,7 @@ mod tests {
     fn with_default_jobs_overrides_and_restores() {
         let ambient = default_jobs();
         let seen = with_default_jobs(3, || {
-            assert_eq!(Pool::with_default_jobs().jobs(), 3);
+            assert_eq!(default_jobs(), 3);
             with_default_jobs(7, default_jobs)
         });
         assert_eq!(seen, 7);

@@ -24,9 +24,9 @@
 //!   [`JobOutcome::Cancelled`]. Workers poll every few milliseconds, so
 //!   cancellation latency is bounded by [`POLL_INTERVAL`] plus one
 //!   journal/checkpoint interval of the caller;
-//! - **retry with backoff** — failures classified transient by the
-//!   supervisor's filter are retried up to a bounded attempt count with
-//!   exponential backoff; [`JobReport::attempts`] records the cost.
+//! - **retry with backoff** — panicked and timed-out attempts are
+//!   retried up to a bounded attempt count with exponential backoff;
+//!   [`JobReport::attempts`] records the cost.
 //!
 //! Results come back in submission order, so a supervised batch is as
 //! deterministic as its jobs: outcomes depend only on job behaviour,
@@ -189,23 +189,6 @@ pub struct JobReport<R> {
     pub wall: Duration,
 }
 
-/// A failure presented to the transient-failure filter.
-#[derive(Debug, Clone)]
-pub enum JobFailure<'a> {
-    /// The attempt panicked with this message.
-    Panicked {
-        /// The panic payload, rendered as text.
-        message: &'a str,
-    },
-    /// The attempt exceeded this deadline.
-    TimedOut {
-        /// The enforced deadline.
-        deadline: Duration,
-    },
-}
-
-type TransientFilter = Arc<dyn Fn(&JobFailure) -> bool + Send + Sync>;
-
 /// A supervised batch executor: worker count, optional per-job
 /// deadline, a batch [`CancelToken`], and a bounded retry policy.
 #[derive(Clone)]
@@ -215,7 +198,6 @@ pub struct Supervisor {
     token: CancelToken,
     max_attempts: u32,
     backoff: Duration,
-    transient: TransientFilter,
 }
 
 impl std::fmt::Debug for Supervisor {
@@ -244,11 +226,6 @@ impl Supervisor {
             token: CancelToken::new(),
             max_attempts: 1,
             backoff: Duration::from_millis(100),
-            // By default every failure is considered transient; with
-            // max_attempts == 1 this is moot, and with_retries alone
-            // then retries everything. Narrow with
-            // with_transient_filter.
-            transient: Arc::new(|_| true),
         }
     }
 
@@ -277,15 +254,6 @@ impl Supervisor {
         assert!(max_attempts > 0, "max_attempts must be at least 1");
         self.max_attempts = max_attempts;
         self.backoff = backoff;
-        self
-    }
-
-    /// Restricts retry to failures `filter` classifies transient.
-    pub fn with_transient_filter(
-        mut self,
-        filter: impl Fn(&JobFailure) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.transient = Arc::new(filter);
         self
     }
 
@@ -397,16 +365,11 @@ impl Supervisor {
                 };
             }
             let outcome = self.run_attempt(index, attempts, items, f, inflight);
-            let retry = match &outcome {
-                JobOutcome::Ok(_) | JobOutcome::Cancelled => false,
-                JobOutcome::Panicked { message } => (self.transient)(&JobFailure::Panicked {
-                    message: message.as_str(),
-                }),
-                JobOutcome::TimedOut { deadline } => (self.transient)(&JobFailure::TimedOut {
-                    deadline: *deadline,
-                }),
-            };
-            if !outcome.is_ok() && retry && attempts < self.max_attempts {
+            let retry = matches!(
+                outcome,
+                JobOutcome::Panicked { .. } | JobOutcome::TimedOut { .. }
+            );
+            if retry && attempts < self.max_attempts {
                 let backoff = self.backoff.saturating_mul(1 << (attempts - 1).min(16));
                 // Back off in poll-sized slices so batch cancellation
                 // still lands promptly mid-sleep.
@@ -739,30 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_retry_with_attempt_count() {
-        let supervisor = Supervisor::new(2)
-            .with_retries(3, Duration::from_millis(1))
-            .with_transient_filter(|failure| {
-                matches!(failure, JobFailure::Panicked { message } if message.contains("transient"))
-            });
-        let reports = supervisor.map_supervised(vec![0u32, 1, 2], |&x, ctx| {
-            match x {
-                // Heals on the second attempt.
-                0 if ctx.attempt < 2 => panic!("transient glitch"),
-                // Never transient: must not be retried.
-                1 => panic!("fatal"),
-                _ => {}
-            }
-            x
-        });
-        assert!(reports[0].outcome.is_ok());
-        assert_eq!(reports[0].attempts, 2);
-        assert_eq!(reports[1].outcome.label(), "panicked");
-        assert_eq!(reports[1].attempts, 1, "fatal failures must not retry");
-        assert!(reports[2].outcome.is_ok());
-    }
-
-    #[test]
     fn retry_budget_is_bounded() {
         let supervisor = Supervisor::new(1).with_retries(3, Duration::from_millis(1));
         let reports =
@@ -778,7 +717,7 @@ mod tests {
     fn supervised_jobs_can_nest_scoped_pools() {
         let reports = Supervisor::new(2).map_supervised(vec![4u64, 5, 6], |&n, _| {
             crate::with_default_jobs(2, || {
-                Pool::with_default_jobs()
+                Pool::new(crate::default_jobs())
                     .map((0..n).collect(), |x| x + 1)
                     .into_iter()
                     .sum::<u64>()
