@@ -233,12 +233,6 @@ impl SimConfig {
         Ok(self)
     }
 
-    /// Disables token limiting (the default).
-    pub fn without_tokens(mut self) -> Self {
-        self.tokens = None;
-        self
-    }
-
     /// Enables fault injection per `plan`. The fault streams are keyed to
     /// the simulation seed, so `(seed, config, plan)` fully determine the
     /// run.

@@ -117,7 +117,10 @@ enum Mode {
     Safe { until: Cycle },
 }
 
-/// The runtime watchdog. See the [module docs](self) for the mechanism.
+/// The runtime watchdog: trips the controller into safe mode (power-gate
+/// decisions demoted to clock gating) when a sliding window of gated
+/// stalls shows large wake penalties or failed wake-ups, and re-arms with
+/// exponential backoff and hysteresis.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
     config: WatchdogConfig,

@@ -16,10 +16,6 @@ pub enum RunError {
     ZeroInstructions,
     /// A cluster was built from an empty source list.
     NoCores,
-    /// A cluster was asked for zero memory channels. Only the frozen
-    /// seed stack ([`ReferenceCluster`](crate::ReferenceCluster)), which
-    /// keeps its multi-channel constructor, can return it.
-    ZeroChannels,
     /// The shared memory hierarchy's configuration was rejected (bad DRAM
     /// geometry, zero MSHRs, inconsistent fault plan, ...).
     Memory(mapg_mem::ConfigError),
@@ -30,7 +26,6 @@ impl fmt::Display for RunError {
         match self {
             RunError::ZeroInstructions => f.write_str("must run at least one instruction"),
             RunError::NoCores => f.write_str("a cluster needs at least one core"),
-            RunError::ZeroChannels => f.write_str("a cluster needs at least one memory channel"),
             RunError::Memory(e) => e.fmt(f),
         }
     }
@@ -54,9 +49,6 @@ mod tests {
             .to_string()
             .contains("at least one instruction"));
         assert!(RunError::NoCores.to_string().contains("at least one core"));
-        assert!(RunError::ZeroChannels
-            .to_string()
-            .contains("at least one memory channel"));
         let memory = RunError::from(mapg_mem::ConfigError::ZeroMshrs);
         assert!(memory
             .to_string()

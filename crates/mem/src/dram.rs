@@ -179,18 +179,6 @@ impl DramStats {
             self.row_hits as f64 / self.accesses() as f64
         }
     }
-
-    /// Folds another channel's counters into this one (commutative; used
-    /// to aggregate per-channel hierarchies into one cluster-wide view).
-    pub fn merge(&mut self, other: &DramStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.row_hits += other.row_hits;
-        self.activates += other.activates;
-        self.refresh_stalls += other.refresh_stalls;
-        self.bus_busy_cycles += other.bus_busy_cycles;
-        self.fault_spikes += other.fault_spikes;
-    }
 }
 
 impl fmt::Display for DramStats {
@@ -430,27 +418,17 @@ impl Dram {
     }
 
     /// Serves a *low-priority* access (a prefetch) only if the target bank
-    /// and the channel are idle at `now`; returns `None` — without touching
-    /// any state — when the access would have to queue behind other work.
+    /// and the channel are idle at `now`, or become free within `slack`
+    /// cycles; returns `None` — without touching any state — when the
+    /// access would have to queue longer behind other work.
     ///
     /// This approximates demand-priority scheduling in the incremental
     /// timing model: real controllers deprioritize or drop prefetches under
     /// load, and an analytic bank-free-time model cannot reorder a queue
-    /// after the fact, so contended prefetches are dropped instead.
-    pub fn try_access_idle(
-        &mut self,
-        now: Cycle,
-        addr: u64,
-        is_write: bool,
-    ) -> Option<(Cycle, RowBufferOutcome)> {
-        self.try_access_within(now, Cycles::ZERO, addr, is_write)
-    }
-
-    /// Like [`Dram::try_access_idle`] but tolerates the target resources
-    /// becoming free within `slack` cycles — a bounded queue depth for
-    /// low-priority traffic. Larger slack raises prefetch coverage at the
-    /// cost of (bounded) extra queueing for demand accesses that arrive
-    /// just behind the prefetch.
+    /// after the fact, so contended prefetches are dropped instead. `slack`
+    /// is a bounded queue depth for low-priority traffic: more of it raises
+    /// prefetch coverage at the cost of (bounded) extra queueing for demand
+    /// accesses that arrive just behind the prefetch.
     pub fn try_access_within(
         &mut self,
         now: Cycle,

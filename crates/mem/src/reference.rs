@@ -23,7 +23,7 @@
 use mapg_trace::{AccessKind, MemAccess};
 use mapg_units::{Cycle, Cycles};
 
-use crate::cache::{CacheConfig, CacheOutcome, CacheStats, ReplacementPolicy};
+use crate::cache::{CacheConfig, CacheOutcome, CacheStats};
 use crate::dram::{DramConfig, DramStats, RowBufferOutcome};
 use crate::faults::DramFaultConfig;
 use crate::hierarchy::{AccessResponse, HierarchyConfig, HierarchyStats, ServiceLevel};
@@ -38,7 +38,6 @@ struct Way {
     dirty: bool,
     prefetched: bool,
     last_use: u64,
-    filled_at: u64,
 }
 
 /// The seed cache: one heap allocation per set, division-based indexing.
@@ -48,7 +47,6 @@ struct RefCache {
     sets: Vec<Vec<Way>>,
     stats: CacheStats,
     use_clock: u64,
-    rng_state: u64,
 }
 
 impl RefCache {
@@ -59,7 +57,6 @@ impl RefCache {
             sets: vec![vec![Way::default(); config.associativity as usize]; sets as usize],
             stats: CacheStats::default(),
             use_clock: 0,
-            rng_state: 0x9E37_79B9_7F4A_7C15,
         }
     }
 
@@ -86,7 +83,7 @@ impl RefCache {
             return CacheOutcome::Hit { prefetched };
         }
 
-        let victim_index = Self::select_victim(set, self.config.replacement, &mut self.rng_state);
+        let victim_index = Self::select_victim(set);
         let victim = &mut set[victim_index];
         let writeback = if victim.valid && victim.dirty {
             let victim_line = victim.tag * set_count + set_index as u64;
@@ -101,37 +98,19 @@ impl RefCache {
             dirty: is_write,
             prefetched: false,
             last_use: stamp,
-            filled_at: stamp,
         };
         CacheOutcome::Miss { writeback }
     }
 
-    fn select_victim(set: &[Way], policy: ReplacementPolicy, rng_state: &mut u64) -> usize {
+    fn select_victim(set: &[Way]) -> usize {
         if let Some(invalid) = set.iter().position(|w| !w.valid) {
             return invalid;
         }
-        match policy {
-            ReplacementPolicy::Lru => set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.last_use)
-                .map(|(i, _)| i)
-                .expect("sets are never empty"),
-            ReplacementPolicy::Fifo => set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.filled_at)
-                .map(|(i, _)| i)
-                .expect("sets are never empty"),
-            ReplacementPolicy::Random => {
-                let mut x = *rng_state;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *rng_state = x;
-                (x % set.len() as u64) as usize
-            }
-        }
+        set.iter()
+            .enumerate()
+            .min_by_key(|(_, w)| w.last_use)
+            .map(|(i, _)| i)
+            .expect("sets are never empty")
     }
 
     fn fill_prefetch(&mut self, addr: u64) -> Option<u64> {
@@ -145,7 +124,7 @@ impl RefCache {
         if set.iter().any(|w| w.valid && w.tag == tag) {
             return None;
         }
-        let victim_index = Self::select_victim(set, self.config.replacement, &mut self.rng_state);
+        let victim_index = Self::select_victim(set);
         let victim = &mut set[victim_index];
         let writeback = if victim.valid && victim.dirty {
             let victim_line = victim.tag * set_count + set_index as u64;
@@ -160,7 +139,6 @@ impl RefCache {
             dirty: false,
             prefetched: true,
             last_use: stamp,
-            filled_at: stamp,
         };
         writeback
     }
@@ -643,30 +621,26 @@ mod tests {
         }
     }
 
-    /// Replacement-policy coverage: the frozen cache and the live cache agree
-    /// on every outcome (hits, victims, writebacks) for every policy.
+    /// Width coverage: the frozen cache and the live cache agree on every
+    /// outcome (hits, victims, writebacks) at every supported
+    /// associativity.
     #[test]
-    fn live_cache_matches_reference_for_all_policies() {
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ] {
+    fn live_cache_matches_reference_at_every_width() {
+        for associativity in [1, 2, 4, 8, 16] {
             let config = CacheConfig {
-                size_bytes: 4 << 10,
-                associativity: 4,
+                size_bytes: 1024 * u64::from(associativity),
+                associativity,
                 line_bytes: 64,
                 hit_latency: Cycles::new(1),
-                replacement: policy,
             };
             let mut live = crate::Cache::new(config);
             let mut reference = RefCache::new(config);
             for (i, (addr, is_write, _)) in stream(99, 20_000).into_iter().enumerate() {
                 let a = live.access(addr % (1 << 16), is_write);
                 let b = reference.access(addr % (1 << 16), is_write);
-                assert_eq!(a, b, "{policy:?}, access {i}");
+                assert_eq!(a, b, "{associativity}-way, access {i}");
             }
-            assert_eq!(live.stats(), reference.stats(), "{policy:?}");
+            assert_eq!(live.stats(), reference.stats(), "{associativity}-way");
         }
     }
 }

@@ -17,7 +17,7 @@ struct Observer {
 ///
 /// A handle is either **disabled** (the default: every call is one branch
 /// on a `None`, no allocation, no locking) or **enabled**, in which case
-/// clones share a single per-simulation [`Observer`] via `Arc<Mutex<_>>`.
+/// clones share a single per-simulation `Observer` via `Arc<Mutex<_>>`.
 /// A simulation emits single-threaded — in simulation order — so the lock
 /// is uncontended; `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` keeps the
 /// handle `Send + Sync`, so a simulation and its components can run on

@@ -2,7 +2,7 @@
 //!
 //! Every artifact — repro files, journals, daemon wire messages,
 //! manifests, metrics and throughput records — is built as a
-//! [`JsonValue`] tree and rendered here: [`write`] for one-line documents
+//! [`JsonValue`] tree and rendered here: [`write`](fn@write) for one-line documents
 //! (repros, journals, the wire protocol), [`write_pretty`] for files
 //! people read. Every artifact reader parses with [`parse`]. The build
 //! environment has no registry access, so no serde. Numbers keep their raw

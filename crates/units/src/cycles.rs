@@ -137,12 +137,6 @@ impl Cycles {
         self.0
     }
 
-    /// Whether this duration is zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Converts this cycle-domain duration into wall-clock time at the given
     /// clock frequency.
     #[inline]
