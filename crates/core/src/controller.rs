@@ -9,7 +9,7 @@ use mapg_units::{Cycle, Cycles, Hertz, Watts};
 use crate::faults::{FaultInjector, FaultPlan, FaultStats};
 use crate::fsm::{GatingFsm, PgState};
 use crate::invariants::{InvariantChecker, InvariantKind, InvariantReport, InvariantViolation};
-use crate::policy::{GatingPolicy, PolicyContext, StallAction};
+use crate::policy::{Policy, PolicyContext, StallAction};
 use crate::timeline::Timeline;
 use crate::tokens::TokenManager;
 use crate::watchdog::{DegradationStats, Watchdog, WatchdogConfig};
@@ -127,7 +127,7 @@ impl Default for ControllerConfig {
     }
 }
 
-/// Executes a [`GatingPolicy`] over a run: implements
+/// Executes a [`Policy`] over a run: implements
 /// [`mapg_cpu::StallHandler`], so it plugs directly into a
 /// [`Core`](mapg_cpu::Core) or [`Cluster`](mapg_cpu::Cluster).
 ///
@@ -136,7 +136,7 @@ impl Default for ControllerConfig {
 /// energy are integrated by the [`Simulation`](crate::Simulation) after the
 /// run, from the core and DRAM statistics.
 pub struct Controller {
-    policy: Box<dyn GatingPolicy>,
+    policy: Policy,
     config: ControllerConfig,
     ctx: PolicyContext,
     fsms: Vec<GatingFsm>,
@@ -175,7 +175,7 @@ impl Controller {
     ///
     /// Panics if the token capacity is zero or the fault plan / watchdog
     /// configuration is out of range.
-    pub fn new(policy: Box<dyn GatingPolicy>, config: ControllerConfig) -> Self {
+    pub fn new(policy: Policy, config: ControllerConfig) -> Self {
         if let Err(e) = config.fault_plan.validate() {
             panic!("{e}");
         }
@@ -277,8 +277,8 @@ impl Controller {
     }
 
     /// The wrapped policy (for predictor-score extraction).
-    pub fn policy(&self) -> &dyn GatingPolicy {
-        self.policy.as_ref()
+    pub fn policy(&self) -> &Policy {
+        &self.policy
     }
 
     /// Token statistics, when token limiting is enabled.
@@ -571,67 +571,22 @@ impl Controller {
         let entry = self.ctx.entry;
         let nominal_wakeup = self.ctx.wakeup;
         let leak = self.config.tech.leakage_power();
-        let gated_power = self.config.circuit.gated_power(&self.config.tech);
         let gate_at = gate_at.max(info.start);
         let entry_done = gate_at + entry;
         let scope = Scope::Core(info.core.0 as u32);
-        self.obs
-            .emit(entry_done.raw(), scope, EventKind::SleepEnter);
-        // A stuck-slow sleep switch inflates this ramp's wake latency.
-        let mut wake_failed = false;
-        let wakeup = match self.faults.as_mut() {
-            Some(faults) => {
-                let actual = faults.wake_latency(nominal_wakeup);
-                wake_failed |= actual > nominal_wakeup;
-                actual
-            }
-            None => nominal_wakeup,
-        };
-        let slow_wake = wakeup > nominal_wakeup;
+
+        // --- primary sleep -------------------------------------------------
+        let wakeup = self.enter_sleep(scope, entry_done);
+        let mut wake_failed = wakeup > nominal_wakeup;
         // The wake ramp begins at the scheduled time or when the memory
         // response arrives, whichever is first: the data-return signal is
         // observable by the PG controller and always triggers a (reactive)
         // wake, so an over-predicted schedule degrades to the reactive
         // wake penalty instead of sleeping past the data. It also cannot
         // begin before sleep entry completes.
-        let mut wake_start = wake_at.min(info.data_ready).max(entry_done);
-        // An open brownout window vetoes wake ramps until it closes.
-        if wake_start < self.brownout_until {
-            self.obs.emit(
-                wake_start.raw(),
-                scope,
-                EventKind::FaultInjected(FaultKind::BrownoutVeto),
-            );
-            wake_start = self.brownout_until;
-            if let Some(faults) = self.faults.as_mut() {
-                faults.note_brownout_delay();
-            }
-            wake_failed = true;
-        }
-        // Token limiting may delay it further; a grant dropped in flight
-        // forces a re-request after the retry latency.
-        if let Some(tokens) = &mut self.tokens {
-            let mut granted = tokens.acquire(wake_start, wakeup);
-            if let Some(faults) = self.faults.as_mut() {
-                if faults.drop_token_grant() {
-                    self.obs.emit(
-                        wake_start.raw(),
-                        scope,
-                        EventKind::FaultInjected(FaultKind::TokenDrop),
-                    );
-                    granted = tokens.acquire(granted + faults.token_retry(), wakeup);
-                    wake_failed = true;
-                }
-            }
-            if granted > wake_start {
-                self.obs.emit(wake_start.raw(), scope, EventKind::TokenDeny);
-                self.stats.token_delayed += 1;
-                self.stats.token_delay_cycles += (granted - wake_start).raw();
-            }
-            self.obs.emit(granted.raw(), scope, EventKind::TokenGrant);
-            wake_start = granted;
-        }
-        let wake_done = wake_start + wakeup;
+        let requested = wake_at.min(info.data_ready).max(entry_done);
+        let (wake_start, delayed) = self.admit_wake(scope, requested, wakeup);
+        wake_failed |= delayed;
         // This wake's inrush may itself brown the rail out, vetoing
         // concurrent wake-ups for the hold window.
         if let Some(faults) = self.faults.as_mut() {
@@ -644,148 +599,43 @@ impl Controller {
                 );
             }
         }
-        if slow_wake {
-            self.obs.emit(
-                wake_start.raw(),
-                scope,
-                EventKind::FaultInjected(FaultKind::SlowWake),
-            );
-        }
-        self.obs.emit(wake_start.raw(), scope, EventKind::SleepExit);
-        self.obs.emit(wake_start.raw(), scope, EventKind::WakeStart);
-        self.obs.emit(wake_done.raw(), scope, EventKind::WakeDone);
-
-        // --- primary sleep: energy, stats, FSM ---------------------------
         // Wait before gating (timeout policies): clock-gated, leakage only.
         self.charge(
             EnergyCategory::IdleStall,
             leak,
             gate_at.saturating_since(info.start),
         );
-        // Entry and wake ramps: rail is partially up; charge full leakage
-        // (conservative) — the CV² charge itself is in the transition term.
-        self.charge(EnergyCategory::IdleStall, leak, entry);
-        self.charge(EnergyCategory::IdleStall, leak, wakeup);
-        let sleeping = wake_start.saturating_since(entry_done);
-        self.charge(EnergyCategory::GatedResidual, gated_power, sleeping);
-        self.energy.add(
-            EnergyCategory::Transition,
-            self.config.circuit.transition_energy(),
-        );
+        let wake_done = self.wake_from_sleep(info.core, gate_at, entry_done, wake_start, wakeup);
         self.stats.gated += 1;
-        self.stats.gated_cycles += sleeping.raw();
         self.obs.count("gates", 1);
-        self.obs.observe("gated_duration", sleeping.raw());
-        self.obs.observe("wake_latency", wakeup.raw());
-        if sleeping < self.ctx.break_even {
-            self.obs.count("bet_misses", 1);
-            self.obs
-                .observe("bet_shortfall", (self.ctx.break_even - sleeping).raw());
-        }
-        self.record_pg_cycle(info.core, gate_at, entry_done, wake_start, wake_done);
 
         // --- nap chaining -------------------------------------------------
         // The core woke early (under-predicted stall) and the data is still
         // more than a break-even away: re-enter sleep and let the response
         // signal wake it reactively. One re-gate always suffices — the
-        // second nap ends at the response.
+        // second nap ends at the response. The nap's wake draws the same
+        // inrush as any other: it must hold a token too, which may delay it
+        // past the response (more penalty, but the di/dt bound stays
+        // honest).
         let mut last_wake_done = wake_done;
         let regate_threshold = self.ctx.break_even + nominal_wakeup;
         if self.config.regate_on_early_wake
             && info.data_ready.saturating_since(wake_done) > regate_threshold
         {
             let nap_entry_done = wake_done + entry;
-            self.obs
-                .emit(nap_entry_done.raw(), scope, EventKind::SleepEnter);
-            // The nap's ramp rolls its own stuck-slow fault.
-            let nap_wakeup = match self.faults.as_mut() {
-                Some(faults) => {
-                    let actual = faults.wake_latency(nominal_wakeup);
-                    wake_failed |= actual > nominal_wakeup;
-                    actual
-                }
-                None => nominal_wakeup,
-            };
-            let nap_slow = nap_wakeup > nominal_wakeup;
-            // The nap's reactive wake draws the same inrush as any other:
-            // it must hold a token too, which may delay it past the
-            // response (more penalty, but the di/dt bound stays honest).
-            let mut nap_wake_start = info.data_ready;
-            if nap_wake_start < self.brownout_until {
-                self.obs.emit(
-                    nap_wake_start.raw(),
-                    scope,
-                    EventKind::FaultInjected(FaultKind::BrownoutVeto),
-                );
-                nap_wake_start = self.brownout_until;
-                if let Some(faults) = self.faults.as_mut() {
-                    faults.note_brownout_delay();
-                }
-                wake_failed = true;
-            }
-            if let Some(tokens) = &mut self.tokens {
-                let mut granted = tokens.acquire(nap_wake_start, nap_wakeup);
-                if let Some(faults) = self.faults.as_mut() {
-                    if faults.drop_token_grant() {
-                        self.obs.emit(
-                            nap_wake_start.raw(),
-                            scope,
-                            EventKind::FaultInjected(FaultKind::TokenDrop),
-                        );
-                        granted = tokens.acquire(granted + faults.token_retry(), nap_wakeup);
-                        wake_failed = true;
-                    }
-                }
-                if granted > nap_wake_start {
-                    self.obs
-                        .emit(nap_wake_start.raw(), scope, EventKind::TokenDeny);
-                    self.stats.token_delayed += 1;
-                    self.stats.token_delay_cycles += (granted - nap_wake_start).raw();
-                }
-                self.obs.emit(granted.raw(), scope, EventKind::TokenGrant);
-                nap_wake_start = granted;
-            }
-            let nap_wake_done = nap_wake_start + nap_wakeup;
-            let nap_span = nap_wake_start - nap_entry_done;
-            if nap_slow {
-                self.obs.emit(
-                    nap_wake_start.raw(),
-                    scope,
-                    EventKind::FaultInjected(FaultKind::SlowWake),
-                );
-            }
-            self.obs
-                .emit(nap_wake_start.raw(), scope, EventKind::SleepExit);
-            self.obs
-                .emit(nap_wake_start.raw(), scope, EventKind::WakeStart);
-            self.obs
-                .emit(nap_wake_done.raw(), scope, EventKind::WakeDone);
-
-            self.charge(EnergyCategory::IdleStall, leak, entry);
-            self.charge(EnergyCategory::IdleStall, leak, nap_wakeup);
-            self.charge(EnergyCategory::GatedResidual, gated_power, nap_span);
-            self.energy.add(
-                EnergyCategory::Transition,
-                self.config.circuit.transition_energy(),
-            );
-            self.stats.regates += 1;
-            self.stats.gated_cycles += nap_span.raw();
-            self.obs.count("regates", 1);
-            self.obs.observe("gated_duration", nap_span.raw());
-            self.obs.observe("wake_latency", nap_wakeup.raw());
-            if nap_span < self.ctx.break_even {
-                self.obs.count("bet_misses", 1);
-                self.obs
-                    .observe("bet_shortfall", (self.ctx.break_even - nap_span).raw());
-            }
-            self.record_pg_cycle(
+            let nap_wakeup = self.enter_sleep(scope, nap_entry_done);
+            wake_failed |= nap_wakeup > nominal_wakeup;
+            let (nap_wake_start, delayed) = self.admit_wake(scope, info.data_ready, nap_wakeup);
+            wake_failed |= delayed;
+            last_wake_done = self.wake_from_sleep(
                 info.core,
                 wake_done,
                 nap_entry_done,
                 nap_wake_start,
-                nap_wake_done,
+                nap_wakeup,
             );
-            last_wake_done = nap_wake_done;
+            self.stats.regates += 1;
+            self.obs.count("regates", 1);
         }
 
         // --- tail / penalty accounting ------------------------------------
@@ -818,6 +668,109 @@ impl Controller {
         }
 
         resume
+    }
+
+    /// Marks sleep entry complete at `entry_done` and returns the coming
+    /// wake ramp's latency, which a stuck-slow sleep switch inflates.
+    fn enter_sleep(&mut self, scope: Scope, entry_done: Cycle) -> Cycles {
+        self.obs
+            .emit(entry_done.raw(), scope, EventKind::SleepEnter);
+        match self.faults.as_mut() {
+            Some(faults) => faults.wake_latency(self.ctx.wakeup),
+            None => self.ctx.wakeup,
+        }
+    }
+
+    /// Holds a wake ramp requested at `wake_start` until it may begin: an
+    /// open brownout window vetoes it until the window closes, and token
+    /// limiting may delay it further, where a grant dropped in flight
+    /// forces a re-request after the retry latency. Returns the ramp's
+    /// start and whether a fault (veto or dropped grant) delayed it.
+    fn admit_wake(&mut self, scope: Scope, mut wake_start: Cycle, wakeup: Cycles) -> (Cycle, bool) {
+        let mut faulted = false;
+        if wake_start < self.brownout_until {
+            self.obs.emit(
+                wake_start.raw(),
+                scope,
+                EventKind::FaultInjected(FaultKind::BrownoutVeto),
+            );
+            wake_start = self.brownout_until;
+            if let Some(faults) = self.faults.as_mut() {
+                faults.note_brownout_delay();
+            }
+            faulted = true;
+        }
+        if let Some(tokens) = &mut self.tokens {
+            let mut granted = tokens.acquire(wake_start, wakeup);
+            if let Some(faults) = self.faults.as_mut() {
+                if faults.drop_token_grant() {
+                    self.obs.emit(
+                        wake_start.raw(),
+                        scope,
+                        EventKind::FaultInjected(FaultKind::TokenDrop),
+                    );
+                    granted = tokens.acquire(granted + faults.token_retry(), wakeup);
+                    faulted = true;
+                }
+            }
+            if granted > wake_start {
+                self.obs.emit(wake_start.raw(), scope, EventKind::TokenDeny);
+                self.stats.token_delayed += 1;
+                self.stats.token_delay_cycles += (granted - wake_start).raw();
+            }
+            self.obs.emit(granted.raw(), scope, EventKind::TokenGrant);
+            wake_start = granted;
+        }
+        (wake_start, faulted)
+    }
+
+    /// Closes one sleep that began entry at `gate_at`: emits the wake
+    /// events, charges the ramps, the gated residual and the transition,
+    /// records the residency metrics, and drives the core's FSM. Returns
+    /// when the wake ramp completes.
+    fn wake_from_sleep(
+        &mut self,
+        core: mapg_cpu::CoreId,
+        gate_at: Cycle,
+        entry_done: Cycle,
+        wake_start: Cycle,
+        wakeup: Cycles,
+    ) -> Cycle {
+        let scope = Scope::Core(core.0 as u32);
+        let wake_done = wake_start + wakeup;
+        if wakeup > self.ctx.wakeup {
+            self.obs.emit(
+                wake_start.raw(),
+                scope,
+                EventKind::FaultInjected(FaultKind::SlowWake),
+            );
+        }
+        self.obs.emit(wake_start.raw(), scope, EventKind::SleepExit);
+        self.obs.emit(wake_start.raw(), scope, EventKind::WakeStart);
+        self.obs.emit(wake_done.raw(), scope, EventKind::WakeDone);
+
+        // Entry and wake ramps: rail is partially up; charge full leakage
+        // (conservative) — the CV² charge itself is in the transition term.
+        let leak = self.config.tech.leakage_power();
+        self.charge(EnergyCategory::IdleStall, leak, self.ctx.entry);
+        self.charge(EnergyCategory::IdleStall, leak, wakeup);
+        let sleeping = wake_start.saturating_since(entry_done);
+        let gated_power = self.config.circuit.gated_power(&self.config.tech);
+        self.charge(EnergyCategory::GatedResidual, gated_power, sleeping);
+        self.energy.add(
+            EnergyCategory::Transition,
+            self.config.circuit.transition_energy(),
+        );
+        self.stats.gated_cycles += sleeping.raw();
+        self.obs.observe("gated_duration", sleeping.raw());
+        self.obs.observe("wake_latency", wakeup.raw());
+        if sleeping < self.ctx.break_even {
+            self.obs.count("bet_misses", 1);
+            self.obs
+                .observe("bet_shortfall", (self.ctx.break_even - sleeping).raw());
+        }
+        self.record_pg_cycle(core, gate_at, entry_done, wake_start, wake_done);
+        wake_done
     }
 
     /// Drives one complete entry → sleep → wake cycle through the core's
@@ -857,7 +810,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{MapgPolicy, NaiveOnMiss, NoGating, PolicyKind};
+    use crate::policy::{PolicyKind, PredictorKind};
     use mapg_cpu::{CoreId, StallCause};
 
     fn stall(duration: u64) -> StallInfo {
@@ -871,10 +824,18 @@ mod tests {
         }
     }
 
+    /// MAPG driven by a fixed 200-cycle prediction.
+    fn static_mapg() -> Policy {
+        PolicyKind::MapgWith {
+            predictor: PredictorKind::Static,
+        }
+        .instantiate()
+    }
+
     #[test]
     fn context_is_circuit_derived() {
         let config = ControllerConfig::baseline();
-        let controller = Controller::new(Box::new(NoGating), config);
+        let controller = Controller::new(PolicyKind::NoGating.instantiate(), config);
         let ctx = controller.context();
         assert_eq!(ctx.entry, config.circuit.entry_cycles(config.clock));
         assert_eq!(ctx.wakeup, config.circuit.wakeup_cycles(config.clock));
@@ -883,7 +844,10 @@ mod tests {
 
     #[test]
     fn passive_policy_charges_idle_energy() {
-        let mut controller = Controller::new(Box::new(NoGating), ControllerConfig::baseline());
+        let mut controller = Controller::new(
+            PolicyKind::NoGating.instantiate(),
+            ControllerConfig::baseline(),
+        );
         let info = stall(200);
         let resume = controller.on_stall(&info);
         assert_eq!(resume, info.data_ready);
@@ -901,7 +865,7 @@ mod tests {
     #[test]
     fn naive_gate_pays_wake_penalty() {
         let config = ControllerConfig::baseline();
-        let mut controller = Controller::new(Box::new(NaiveOnMiss), config);
+        let mut controller = Controller::new(PolicyKind::NaiveOnMiss.instantiate(), config);
         let info = stall(300);
         let resume = controller.on_stall(&info);
         let wakeup = config.circuit.wakeup_cycles(config.clock);
@@ -926,8 +890,10 @@ mod tests {
 
     #[test]
     fn oracle_gate_has_zero_penalty() {
-        let mut controller =
-            Controller::new(Box::new(MapgPolicy::oracle()), ControllerConfig::baseline());
+        let mut controller = Controller::new(
+            PolicyKind::MapgOracle.instantiate(),
+            ControllerConfig::baseline(),
+        );
         let info = stall(400);
         let resume = controller.on_stall(&info);
         assert_eq!(resume, info.data_ready, "oracle hides the wake entirely");
@@ -937,8 +903,10 @@ mod tests {
 
     #[test]
     fn oracle_skips_below_break_even() {
-        let mut controller =
-            Controller::new(Box::new(MapgPolicy::oracle()), ControllerConfig::baseline());
+        let mut controller = Controller::new(
+            PolicyKind::MapgOracle.instantiate(),
+            ControllerConfig::baseline(),
+        );
         let short = stall(5);
         let resume = controller.on_stall(&short);
         assert_eq!(resume, short.data_ready);
@@ -950,11 +918,11 @@ mod tests {
         let config = ControllerConfig::baseline();
         let long = stall(2_000);
 
-        let mut idle_ctl = Controller::new(Box::new(NoGating), config);
+        let mut idle_ctl = Controller::new(PolicyKind::NoGating.instantiate(), config);
         idle_ctl.on_stall(&long);
         let idle_energy = idle_ctl.energy().total();
 
-        let mut gate_ctl = Controller::new(Box::new(MapgPolicy::oracle()), config);
+        let mut gate_ctl = Controller::new(PolicyKind::MapgOracle.instantiate(), config);
         gate_ctl.on_stall(&long);
         let gate_energy = gate_ctl.energy().total();
 
@@ -970,7 +938,7 @@ mod tests {
             tokens: Some(1),
             ..ControllerConfig::baseline()
         };
-        let mut controller = Controller::new(Box::new(MapgPolicy::oracle()), config);
+        let mut controller = Controller::new(PolicyKind::MapgOracle.instantiate(), config);
         // Two cores stall with identical timing: their wake ramps collide.
         let a = StallInfo {
             core: CoreId(0),
@@ -994,7 +962,7 @@ mod tests {
     #[test]
     fn fsm_residencies_match_stats() {
         let config = ControllerConfig::baseline();
-        let mut controller = Controller::new(Box::new(MapgPolicy::oracle()), config);
+        let mut controller = Controller::new(PolicyKind::MapgOracle.instantiate(), config);
         let info = stall(500);
         let resume = controller.on_stall(&info);
         controller.finish(&[resume]);
@@ -1008,14 +976,11 @@ mod tests {
 
     #[test]
     fn underpredicted_long_stall_regates() {
-        use crate::predictor::StaticPredictor;
         // A static 200-cycle prediction on a 5000-cycle stall: the core
         // wakes at ~start+200, finds the data 4800 cycles away, and must
         // nap again until the response.
-        let policy =
-            MapgPolicy::with_predictor(StaticPredictor::new(Cycles::new(200)), "static-test");
         let config = ControllerConfig::baseline();
-        let mut controller = Controller::new(Box::new(policy), config);
+        let mut controller = Controller::new(static_mapg(), config);
         let info = stall(5_000);
         let resume = controller.on_stall(&info);
         assert_eq!(controller.stats().regates, 1);
@@ -1034,14 +999,11 @@ mod tests {
 
     #[test]
     fn regate_can_be_disabled() {
-        use crate::predictor::StaticPredictor;
-        let policy =
-            MapgPolicy::with_predictor(StaticPredictor::new(Cycles::new(200)), "static-test");
         let config = ControllerConfig {
             regate_on_early_wake: false,
             ..ControllerConfig::baseline()
         };
-        let mut controller = Controller::new(Box::new(policy), config);
+        let mut controller = Controller::new(static_mapg(), config);
         let info = stall(5_000);
         let resume = controller.on_stall(&info);
         assert_eq!(controller.stats().regates, 0);
@@ -1065,8 +1027,10 @@ mod tests {
 
     #[test]
     fn finish_leaves_normal_runs_invariant_clean() {
-        let mut controller =
-            Controller::new(Box::new(MapgPolicy::oracle()), ControllerConfig::baseline());
+        let mut controller = Controller::new(
+            PolicyKind::MapgOracle.instantiate(),
+            ControllerConfig::baseline(),
+        );
         let info = stall(500);
         let resume = controller.on_stall(&info);
         controller.finish(&[resume]);
@@ -1085,8 +1049,11 @@ mod tests {
             },
             ..ControllerConfig::baseline()
         };
-        let mut faulty = Controller::new(Box::new(NaiveOnMiss), config);
-        let mut clean = Controller::new(Box::new(NaiveOnMiss), ControllerConfig::baseline());
+        let mut faulty = Controller::new(PolicyKind::NaiveOnMiss.instantiate(), config);
+        let mut clean = Controller::new(
+            PolicyKind::NaiveOnMiss.instantiate(),
+            ControllerConfig::baseline(),
+        );
         let info = stall(300);
         let faulty_resume = faulty.on_stall(&info);
         let clean_resume = clean.on_stall(&info);
@@ -1108,7 +1075,7 @@ mod tests {
             },
             ..ControllerConfig::baseline()
         };
-        let mut controller = Controller::new(Box::new(MapgPolicy::oracle()), config);
+        let mut controller = Controller::new(PolicyKind::MapgOracle.instantiate(), config);
         // First gated stall opens a veto window over its wake...
         let a = stall(400);
         controller.on_stall(&a);
@@ -1146,7 +1113,7 @@ mod tests {
             watchdog: Some(watchdog),
             ..ControllerConfig::baseline()
         };
-        let mut controller = Controller::new(Box::new(NaiveOnMiss), config);
+        let mut controller = Controller::new(PolicyKind::NaiveOnMiss.instantiate(), config);
         let gated_stall = |start: u64| StallInfo {
             start: Cycle::new(start),
             data_ready: Cycle::new(start + 300),

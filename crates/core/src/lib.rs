@@ -32,8 +32,8 @@
 //!
 //! | concern | types |
 //! |---|---|
-//! | policies | [`GatingPolicy`], [`MapgPolicy`], [`NoGating`], [`ClockGating`], [`NaiveOnMiss`], [`TimeoutGating`], [`DvfsStall`], [`PolicyKind`] |
-//! | prediction | [`MissLatencyPredictor`], [`HistoryTablePredictor`], [`EwmaPredictor`], [`LastValuePredictor`], [`StaticPredictor`], [`OraclePredictor`], [`PredictorScore`] |
+//! | policies | [`PolicyKind`] (`no-gating`, `clock-gating`, `dvfs-stall`, `naive-on-miss`, `timeout`, `mapg-oracle`, `mapg`, `mapg-always-gate`, `mapg-no-early-wake`), [`Policy`], [`StallAction`] |
+//! | prediction | [`PredictorKind`] (static, last value, EWMA, history table, oracle), [`PredictorScore`] |
 //! | mechanism | [`GatingFsm`], [`PgState`], [`TokenManager`], [`Controller`] |
 //! | harness | [`Simulation`], [`SimConfig`], [`RunReport`], [`SuiteRunner`], [`SuiteMatrix`] |
 //! | robustness | [`FaultPlan`], [`FaultStats`], [`InvariantReport`], [`Watchdog`], [`DegradationStats`], [`MapgError`] |
@@ -65,14 +65,8 @@ pub use faults::{FaultPlan, FaultStats};
 pub use fsm::{GatingFsm, PgState, StateResidency};
 pub use fsutil::write_atomic;
 pub use invariants::{InvariantChecker, InvariantKind, InvariantReport, InvariantViolation};
-pub use policy::{
-    ClockGating, DvfsStall, GatingPolicy, MapgPolicy, NaiveOnMiss, NoGating, PolicyContext,
-    PolicyKind, PredictorKind, StallAction, TimeoutGating,
-};
-pub use predictor::{
-    EwmaPredictor, HistoryTablePredictor, LastValuePredictor, MissLatencyPredictor,
-    OraclePredictor, PredictorScore, StaticPredictor,
-};
+pub use policy::{Policy, PolicyContext, PolicyKind, PredictorKind, StallAction};
+pub use predictor::PredictorScore;
 pub use replicate::{MetricSummary, Replication};
 pub use report::{geometric_mean, RunReport};
 pub use sim::{SimConfig, Simulation};

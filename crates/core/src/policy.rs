@@ -1,27 +1,28 @@
 //! Gating policies: what to do with a memory stall.
 //!
-//! A policy sees each stall at its onset and picks a [`StallAction`]. The
-//! [`Controller`](crate::Controller) executes the action, charges the
-//! energy, and reports the resume time back to the core. The policy zoo:
+//! A [`Policy`] sees each stall at its onset and picks a [`StallAction`].
+//! The [`Controller`](crate::Controller) executes the action, charges the
+//! energy, and reports the resume time back to the core. The policy zoo,
+//! by [`PolicyKind`]:
 //!
 //! | policy | action on stall | wake scheduling | what it represents |
 //! |---|---|---|---|
-//! | [`NoGating`] | stay active | — | no power management |
-//! | [`ClockGating`] | stop clocks | — | conventional fine-grain clock gating |
-//! | [`DvfsStall`] | scale V/f down | — | DVFS-during-stall baseline |
-//! | [`NaiveOnMiss`] | gate every stall | reactive (starts at data arrival) | gating without MAPG's machinery |
-//! | [`TimeoutGating`] | gate after idle timeout | reactive | classic idle-driven power gating |
-//! | [`MapgPolicy`] (oracle) | gate iff `actual ≥ BET` | early (hidden under miss) | upper bound |
-//! | [`MapgPolicy`] (predictive) | gate iff `predicted ≥ BET` | early, from prediction | **the paper's policy** |
+//! | `no-gating` | stay active | — | no power management |
+//! | `clock-gating` | stop clocks | — | conventional fine-grain clock gating |
+//! | `dvfs-stall` | scale V/f down | — | DVFS-during-stall baseline |
+//! | `naive-on-miss` | gate every stall | reactive (starts at data arrival) | gating without MAPG's machinery |
+//! | `timeout` | gate after idle timeout | reactive | classic idle-driven power gating |
+//! | `mapg-oracle` | gate iff `actual ≥ BET` | early (hidden under miss) | upper bound |
+//! | `mapg` | gate iff `predicted ≥ BET` | early, from prediction | **the paper's policy** |
+//! | `mapg-always-gate` | gate every stall | early, from prediction | ablation: no break-even guard |
+//! | `mapg-no-early-wake` | gate iff `predicted ≥ BET` | reactive | ablation: no early wake |
+//! | `mapg+<predictor>` | gate iff `predicted ≥ BET` | early, from prediction | MAPG under each predictor (R-F7) |
 
 use mapg_cpu::StallInfo;
 use mapg_power::OperatingPoint;
 use mapg_units::{Cycle, Cycles};
 
-use crate::predictor::{
-    EwmaPredictor, HistoryTablePredictor, LastValuePredictor, MissLatencyPredictor,
-    OraclePredictor, PredictorScore, StaticPredictor,
-};
+use crate::predictor::{Predictor, PredictorScore};
 
 /// Circuit-derived constants the controller hands every policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,265 +58,104 @@ pub enum StallAction {
     },
 }
 
-/// A gating policy. See the table in the module-level documentation for
-/// the policy zoo.
+/// A gating policy: one [`PolicyKind`] plus, for the MAPG variants, the
+/// predictor state it learns. Build one with [`PolicyKind::instantiate`].
 ///
 /// The controller guarantees `decide` and `observe` are called in strict
-/// alternation for each stall (stalls resolve synchronously), so policies
+/// alternation for each stall (stalls resolve synchronously), so a policy
 /// may carry per-stall scratch state between the two calls.
-pub trait GatingPolicy {
-    /// Chooses an action for the stall described by `info`.
-    fn decide(&mut self, info: &StallInfo, ctx: &PolicyContext) -> StallAction;
-
-    /// Learns from the completed stall's actual duration.
-    fn observe(&mut self, _info: &StallInfo, _actual: Cycles) {}
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Prediction-accuracy bookkeeping, for predictive policies.
-    fn predictor_score(&self) -> Option<&PredictorScore> {
-        None
-    }
-}
-
-/// No power management at all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoGating;
-
-impl GatingPolicy for NoGating {
-    fn decide(&mut self, _info: &StallInfo, _ctx: &PolicyContext) -> StallAction {
-        StallAction::StayActive
-    }
-
-    fn name(&self) -> &'static str {
-        "no-gating"
-    }
-}
-
-/// Clock gating during every stall: removes idle dynamic power, keeps
-/// leakage. Zero latency, zero risk — the reference conventional technique.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClockGating;
-
-impl GatingPolicy for ClockGating {
-    fn decide(&mut self, _info: &StallInfo, _ctx: &PolicyContext) -> StallAction {
-        StallAction::ClockGate
-    }
-
-    fn name(&self) -> &'static str {
-        "clock-gating"
-    }
-}
-
-/// DVFS to the floor point during every stall. Idealized in the policy's
-/// favour: the V/f transition itself is modelled as free, which real PLL
-/// relock times (microseconds) would never allow at stall granularity.
-/// Even so it keeps paying `V³`-scaled leakage.
 #[derive(Debug, Clone)]
-pub struct DvfsStall {
-    point: OperatingPoint,
+pub struct Policy {
+    kind: PolicyKind,
+    /// Present exactly for the MAPG kinds.
+    mapg: Option<MapgState>,
 }
 
-impl DvfsStall {
-    /// Parks at the given operating point during stalls.
-    pub fn new(point: OperatingPoint) -> Self {
-        DvfsStall { point }
-    }
-}
-
-impl Default for DvfsStall {
-    fn default() -> Self {
-        DvfsStall::new(OperatingPoint::min())
-    }
-}
-
-impl GatingPolicy for DvfsStall {
-    fn decide(&mut self, _info: &StallInfo, _ctx: &PolicyContext) -> StallAction {
-        StallAction::DvfsScale {
-            point: self.point.clone(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "dvfs-stall"
-    }
-}
-
-/// Gate on every stall, wake reactively when the data arrives. Pays the
-/// full wake latency as a performance penalty on every gated stall and
-/// loses energy on short stalls — the strawman MAPG improves on.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NaiveOnMiss;
-
-impl GatingPolicy for NaiveOnMiss {
-    fn decide(&mut self, info: &StallInfo, _ctx: &PolicyContext) -> StallAction {
-        StallAction::PowerGate {
-            gate_at: info.start,
-            wake_at: info.data_ready,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "naive-on-miss"
-    }
-}
-
-/// Classic idle-timeout gating: gate only once the core has been idle for
-/// `timeout` cycles, wake reactively.
-///
-/// Implementation note: with the synchronous stall model the policy *knows*
-/// `data_ready`; it uses it solely to evaluate whether the timeout would
-/// have expired before the data returned — i.e. to faithfully emulate the
-/// timeout hardware, not to predict.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeoutGating {
-    timeout: Cycles,
-}
-
-impl TimeoutGating {
-    /// Creates the policy with the given idle threshold.
-    pub fn new(timeout: Cycles) -> Self {
-        TimeoutGating { timeout }
-    }
-}
-
-impl GatingPolicy for TimeoutGating {
-    fn decide(&mut self, info: &StallInfo, _ctx: &PolicyContext) -> StallAction {
-        let gate_at = info.start + self.timeout;
-        if gate_at >= info.data_ready {
-            // The data would arrive before the timeout fires: never gates.
-            // The idle wait itself is clock-gated, as in any contemporary
-            // core.
-            StallAction::ClockGate
-        } else {
-            StallAction::PowerGate {
-                gate_at,
-                wake_at: info.data_ready,
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "timeout"
-    }
-}
-
-/// The MAPG policy, generic over its predictor.
-///
-/// On each stall:
-/// 1. predict the stall duration `d̂`;
-/// 2. gate iff `d̂ ≥ guard · BET` (the guard margin biases against gating
-///    marginal stalls, where a mis-prediction costs energy *and* time);
-/// 3. if gating and early wake is enabled, schedule the wake ramp to end
-///    exactly at the predicted data arrival (`wake_at = start + d̂ −
-///    T_wake`), hiding the wake latency under the memory latency.
-///
-/// With [`OraclePredictor`] this is the paper's oracle variant; with
-/// [`HistoryTablePredictor`] it is the deployable policy.
-#[derive(Debug)]
-pub struct MapgPolicy<P> {
-    predictor: P,
+/// What a MAPG policy carries between stalls.
+#[derive(Debug, Clone)]
+struct MapgState {
+    predictor: Predictor,
     score: PredictorScore,
+    /// Break-even guard multiplier: gate iff `predicted ≥ guard · BET`.
     guard: f64,
-    early_wake: bool,
-    name: &'static str,
     /// Prediction made in `decide`, consumed by the matching `observe`.
     pending_prediction: Option<Cycles>,
 }
 
-impl MapgPolicy<HistoryTablePredictor> {
-    /// The deployable MAPG configuration: PC-indexed history predictor,
-    /// unity guard, early wake on.
-    pub fn predictive() -> Self {
-        MapgPolicy::with_predictor(HistoryTablePredictor::hardware_default(), "mapg")
-    }
+impl Policy {
+    /// Chooses an action for the stall described by `info`.
+    pub fn decide(&mut self, info: &StallInfo, ctx: &PolicyContext) -> StallAction {
+        let mapg = match self.kind {
+            // No power management at all.
+            PolicyKind::NoGating => return StallAction::StayActive,
+            // Clock gating during every stall: removes idle dynamic power,
+            // keeps leakage. Zero latency, zero risk — the reference
+            // conventional technique.
+            PolicyKind::ClockGating => return StallAction::ClockGate,
+            // DVFS to the floor point during every stall. Idealized in the
+            // policy's favour: the V/f transition itself is modelled as
+            // free, which real PLL relock times (microseconds) would never
+            // allow at stall granularity. Even so it keeps paying
+            // `V³`-scaled leakage.
+            PolicyKind::DvfsStall => {
+                return StallAction::DvfsScale {
+                    point: OperatingPoint::min(),
+                }
+            }
+            // Gate on every stall, wake reactively when the data arrives.
+            // Pays the full wake latency as a performance penalty on every
+            // gated stall and loses energy on short stalls — the strawman
+            // MAPG improves on.
+            PolicyKind::NaiveOnMiss => {
+                return StallAction::PowerGate {
+                    gate_at: info.start,
+                    wake_at: info.data_ready,
+                }
+            }
+            // Classic idle-timeout gating: gate only once the core has been
+            // idle for `idle_cycles`, wake reactively. With the synchronous
+            // stall model the policy *knows* `data_ready`; it uses it solely
+            // to evaluate whether the timeout would have expired before the
+            // data returned — i.e. to faithfully emulate the timeout
+            // hardware, not to predict.
+            PolicyKind::Timeout { idle_cycles } => {
+                let gate_at = info.start + Cycles::new(idle_cycles);
+                return if gate_at >= info.data_ready {
+                    // The data would arrive before the timeout fires: never
+                    // gates. The idle wait itself is clock-gated, as in any
+                    // contemporary core.
+                    StallAction::ClockGate
+                } else {
+                    StallAction::PowerGate {
+                        gate_at,
+                        wake_at: info.data_ready,
+                    }
+                };
+            }
+            PolicyKind::MapgOracle
+            | PolicyKind::Mapg
+            | PolicyKind::MapgAlwaysGate
+            | PolicyKind::MapgNoEarlyWake
+            | PolicyKind::MapgWith { .. } => self
+                .mapg
+                .as_mut()
+                .expect("every MAPG kind carries predictor state"),
+        };
 
-    /// Ablation: prediction and break-even guard disabled — gate every
-    /// stall but keep early-wake scheduling (from the predictor's
-    /// estimate).
-    pub fn always_gate() -> Self {
-        let mut policy = MapgPolicy::with_predictor(
-            HistoryTablePredictor::hardware_default(),
-            "mapg-always-gate",
-        );
-        policy.guard = 0.0;
-        policy
-    }
+        // MAPG, on each stall:
+        // 1. predict the stall duration `d̂`;
+        // 2. gate iff `d̂ ≥ guard · BET` (the guard margin biases against
+        //    gating marginal stalls, where a mis-prediction costs energy
+        //    *and* time);
+        // 3. if gating and early wake is enabled, schedule the wake ramp to
+        //    end exactly at the predicted data arrival (`wake_at = start +
+        //    d̂ − T_wake`), hiding the wake latency under the memory latency.
+        // With the oracle predictor this is the paper's oracle variant; with
+        // the history table it is the deployable policy.
+        let predicted = mapg.predictor.predict(info);
+        mapg.pending_prediction = Some(predicted);
 
-    /// Ablation: break-even guard kept, early wake disabled (reactive
-    /// wake at data arrival).
-    pub fn no_early_wake() -> Self {
-        let mut policy = MapgPolicy::with_predictor(
-            HistoryTablePredictor::hardware_default(),
-            "mapg-no-early-wake",
-        );
-        policy.early_wake = false;
-        policy
-    }
-}
-
-impl MapgPolicy<OraclePredictor> {
-    /// The oracle variant: perfect duration knowledge, perfect wake timing.
-    pub fn oracle() -> Self {
-        MapgPolicy::with_predictor(OraclePredictor, "mapg-oracle")
-    }
-}
-
-impl<P: MissLatencyPredictor> MapgPolicy<P> {
-    /// Builds the policy around an arbitrary predictor.
-    pub fn with_predictor(predictor: P, name: &'static str) -> Self {
-        MapgPolicy {
-            predictor,
-            score: PredictorScore::new(),
-            guard: 1.0,
-            early_wake: true,
-            name,
-            pending_prediction: None,
-        }
-    }
-
-    /// Sets the break-even guard multiplier (default 1.0). Values above 1
-    /// gate more conservatively.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `guard` is negative or not finite.
-    pub fn with_guard(self, guard: f64) -> Self {
-        match self.try_with_guard(guard) {
-            Ok(policy) => policy,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`MapgPolicy::with_guard`] for user input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapgError`](crate::MapgError) if `guard` is negative or
-    /// not finite.
-    pub fn try_with_guard(mut self, guard: f64) -> Result<Self, crate::MapgError> {
-        if !(guard.is_finite() && guard >= 0.0) {
-            return Err(crate::MapgError::invalid(format!(
-                "guard must be finite and non-negative, got {guard}"
-            )));
-        }
-        self.guard = guard;
-        Ok(self)
-    }
-
-    /// The wrapped predictor.
-    pub fn predictor(&self) -> &P {
-        &self.predictor
-    }
-}
-
-impl<P: MissLatencyPredictor> GatingPolicy for MapgPolicy<P> {
-    fn decide(&mut self, info: &StallInfo, ctx: &PolicyContext) -> StallAction {
-        let predicted = self.predictor.predict(info);
-        self.pending_prediction = Some(predicted);
-
-        let threshold = ctx.break_even.scale(self.guard);
+        let threshold = ctx.break_even.scale(mapg.guard);
         if predicted < threshold {
             // Stalls judged too short to gate are still clock-gated —
             // MAPG deploys on top of conventional clock gating.
@@ -325,10 +165,10 @@ impl<P: MissLatencyPredictor> GatingPolicy for MapgPolicy<P> {
         // End the wake ramp at the predicted data arrival (saturating at
         // the stall start). The controller clamps to entry completion, so
         // heavy underprediction degrades gracefully into a minimal nap.
-        let wake_at = if self.early_wake {
-            info.start + predicted.saturating_sub(ctx.wakeup)
-        } else {
+        let wake_at = if self.kind == PolicyKind::MapgNoEarlyWake {
             info.data_ready
+        } else {
+            info.start + predicted.saturating_sub(ctx.wakeup)
         };
 
         StallAction::PowerGate {
@@ -337,19 +177,50 @@ impl<P: MissLatencyPredictor> GatingPolicy for MapgPolicy<P> {
         }
     }
 
-    fn observe(&mut self, info: &StallInfo, actual: Cycles) {
-        if let Some(predicted) = self.pending_prediction.take() {
-            self.score.record(predicted, actual);
+    /// Learns from the completed stall's actual duration.
+    pub fn observe(&mut self, info: &StallInfo, actual: Cycles) {
+        if let Some(mapg) = &mut self.mapg {
+            if let Some(predicted) = mapg.pending_prediction.take() {
+                mapg.score.record(predicted, actual);
+            }
+            mapg.predictor.observe(info, actual);
         }
-        self.predictor.observe(info, actual);
     }
 
-    fn name(&self) -> &'static str {
-        self.name
+    /// Short name for reports: the kind's [`PolicyKind::name`].
+    pub fn name(&self) -> &'static str {
+        self.kind.name()
     }
 
-    fn predictor_score(&self) -> Option<&PredictorScore> {
-        Some(&self.score)
+    /// Prediction-accuracy bookkeeping, for the MAPG kinds.
+    pub fn predictor_score(&self) -> Option<&PredictorScore> {
+        self.mapg.as_ref().map(|mapg| &mapg.score)
+    }
+
+    /// Sets a MAPG policy's break-even guard multiplier (default 1.0;
+    /// 0.0 for `mapg-always-gate`). Values above 1 gate more
+    /// conservatively.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy is not a MAPG kind, or if `guard` is negative
+    /// or not finite.
+    pub fn with_guard(mut self, guard: f64) -> Self {
+        assert!(
+            guard.is_finite() && guard >= 0.0,
+            "guard must be finite and non-negative, got {guard}"
+        );
+        match &mut self.mapg {
+            Some(mapg) => mapg.guard = guard,
+            None => panic!("a guard needs a MAPG policy, not {}", self.name()),
+        }
+        self
+    }
+}
+
+impl From<PolicyKind> for Policy {
+    fn from(kind: PolicyKind) -> Self {
+        kind.instantiate()
     }
 }
 
@@ -357,26 +228,31 @@ impl<P: MissLatencyPredictor> GatingPolicy for MapgPolicy<P> {
 /// benches and examples share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
-    /// [`NoGating`].
+    /// No power management.
     NoGating,
-    /// [`ClockGating`].
+    /// Clock gating during every stall.
     ClockGating,
-    /// [`DvfsStall`] at the floor operating point.
+    /// DVFS to the floor operating point during every stall.
     DvfsStall,
-    /// [`NaiveOnMiss`].
+    /// Power-gate every stall, wake reactively.
     NaiveOnMiss,
-    /// [`TimeoutGating`] with the given idle threshold in cycles.
+    /// Power-gate once idle for the given threshold in cycles, wake
+    /// reactively.
     Timeout {
         /// Idle cycles before gating.
         idle_cycles: u64,
     },
-    /// [`MapgPolicy::oracle`].
+    /// MAPG with perfect duration knowledge and perfect wake timing.
     MapgOracle,
-    /// [`MapgPolicy::predictive`] — the paper's policy.
+    /// The paper's policy: PC-indexed history predictor, unity guard,
+    /// early wake on.
     Mapg,
-    /// [`MapgPolicy::always_gate`] ablation.
+    /// Ablation: prediction and break-even guard disabled — gate every
+    /// stall but keep early-wake scheduling (from the predictor's
+    /// estimate).
     MapgAlwaysGate,
-    /// [`MapgPolicy::no_early_wake`] ablation.
+    /// Ablation: break-even guard kept, early wake disabled (reactive wake
+    /// at data arrival).
     MapgNoEarlyWake,
     /// MAPG with an explicitly chosen predictor (experiment R-F7).
     MapgWith {
@@ -388,15 +264,16 @@ pub enum PolicyKind {
 /// Selects a miss-latency predictor for [`PolicyKind::MapgWith`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictorKind {
-    /// [`StaticPredictor`] pinned at 200 cycles.
+    /// A fixed 200-cycle estimate.
     Static,
-    /// [`LastValuePredictor`].
+    /// The previous stall's duration (seeded at 200 cycles).
     LastValue,
-    /// Global [`EwmaPredictor`] (alpha = 4/16).
+    /// A global EWMA (alpha = 4/16, seeded at 200 cycles).
     Ewma,
-    /// PC-indexed [`HistoryTablePredictor`] (the MAPG default).
+    /// A PC-indexed table of EWMAs (64 entries, alpha = 4/16, seeded at
+    /// 200 cycles) — the MAPG default.
     HistoryTable,
-    /// [`OraclePredictor`].
+    /// The actual duration (an upper bound, not a predictor).
     Oracle,
 }
 
@@ -410,14 +287,14 @@ impl PredictorKind {
         PredictorKind::Oracle,
     ];
 
-    /// Instantiates the predictor.
-    pub fn instantiate(&self) -> Box<dyn MissLatencyPredictor> {
+    fn instantiate(&self) -> Predictor {
+        let seed = Cycles::new(200);
         match self {
-            PredictorKind::Static => Box::new(StaticPredictor::new(Cycles::new(200))),
-            PredictorKind::LastValue => Box::new(LastValuePredictor::new(Cycles::new(200))),
-            PredictorKind::Ewma => Box::new(EwmaPredictor::new(Cycles::new(200), 4)),
-            PredictorKind::HistoryTable => Box::new(HistoryTablePredictor::hardware_default()),
-            PredictorKind::Oracle => Box::new(OraclePredictor),
+            PredictorKind::Static => Predictor::Static { estimate: seed },
+            PredictorKind::LastValue => Predictor::LastValue { last: seed },
+            PredictorKind::Ewma => Predictor::ewma(seed, 4),
+            PredictorKind::HistoryTable => Predictor::history_table(seed, 4, 64),
+            PredictorKind::Oracle => Predictor::Oracle,
         }
     }
 
@@ -430,20 +307,6 @@ impl PredictorKind {
             PredictorKind::HistoryTable => "mapg+history-table",
             PredictorKind::Oracle => "mapg+oracle",
         }
-    }
-}
-
-impl MissLatencyPredictor for Box<dyn MissLatencyPredictor> {
-    fn predict(&mut self, info: &StallInfo) -> Cycles {
-        (**self).predict(info)
-    }
-
-    fn observe(&mut self, info: &StallInfo, actual: Cycles) {
-        (**self).observe(info, actual);
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
 }
 
@@ -461,28 +324,35 @@ impl PolicyKind {
     ];
 
     /// Instantiates the policy.
-    pub fn instantiate(&self) -> Box<dyn GatingPolicy> {
-        match *self {
-            PolicyKind::NoGating => Box::new(NoGating),
-            PolicyKind::ClockGating => Box::new(ClockGating),
-            PolicyKind::DvfsStall => Box::new(DvfsStall::default()),
-            PolicyKind::NaiveOnMiss => Box::new(NaiveOnMiss),
-            PolicyKind::Timeout { idle_cycles } => {
-                Box::new(TimeoutGating::new(Cycles::new(idle_cycles)))
+    pub fn instantiate(&self) -> Policy {
+        let predictor = match *self {
+            PolicyKind::NoGating
+            | PolicyKind::ClockGating
+            | PolicyKind::DvfsStall
+            | PolicyKind::NaiveOnMiss
+            | PolicyKind::Timeout { .. } => None,
+            PolicyKind::MapgOracle => Some(PredictorKind::Oracle),
+            PolicyKind::Mapg | PolicyKind::MapgAlwaysGate | PolicyKind::MapgNoEarlyWake => {
+                Some(PredictorKind::HistoryTable)
             }
-            PolicyKind::MapgOracle => Box::new(MapgPolicy::oracle()),
-            PolicyKind::Mapg => Box::new(MapgPolicy::predictive()),
-            PolicyKind::MapgAlwaysGate => Box::new(MapgPolicy::always_gate()),
-            PolicyKind::MapgNoEarlyWake => Box::new(MapgPolicy::no_early_wake()),
-            PolicyKind::MapgWith { predictor } => Box::new(MapgPolicy::with_predictor(
-                predictor.instantiate(),
-                predictor.policy_name(),
-            )),
+            PolicyKind::MapgWith { predictor } => Some(predictor),
+        };
+        Policy {
+            kind: *self,
+            mapg: predictor.map(|predictor| MapgState {
+                predictor: predictor.instantiate(),
+                score: PredictorScore::new(),
+                guard: if *self == PolicyKind::MapgAlwaysGate {
+                    0.0
+                } else {
+                    1.0
+                },
+                pending_prediction: None,
+            }),
         }
     }
 
-    /// The policy's display name (matches the instantiated policy's
-    /// [`GatingPolicy::name`]).
+    /// The policy's display name (also its [`Policy::name`]).
     pub fn name(&self) -> &'static str {
         match *self {
             PolicyKind::NoGating => "no-gating",
@@ -526,22 +396,30 @@ mod tests {
     #[test]
     fn trivial_policies() {
         assert_eq!(
-            NoGating.decide(&stall(100), &ctx()),
+            PolicyKind::NoGating
+                .instantiate()
+                .decide(&stall(100), &ctx()),
             StallAction::StayActive
         );
         assert_eq!(
-            ClockGating.decide(&stall(100), &ctx()),
+            PolicyKind::ClockGating
+                .instantiate()
+                .decide(&stall(100), &ctx()),
             StallAction::ClockGate
         );
         assert!(matches!(
-            DvfsStall::default().decide(&stall(100), &ctx()),
+            PolicyKind::DvfsStall
+                .instantiate()
+                .decide(&stall(100), &ctx()),
             StallAction::DvfsScale { .. }
         ));
     }
 
     #[test]
     fn naive_gates_everything_reactively() {
-        let action = NaiveOnMiss.decide(&stall(20), &ctx());
+        let action = PolicyKind::NaiveOnMiss
+            .instantiate()
+            .decide(&stall(20), &ctx());
         assert_eq!(
             action,
             StallAction::PowerGate {
@@ -553,7 +431,7 @@ mod tests {
 
     #[test]
     fn timeout_skips_short_stalls() {
-        let mut policy = TimeoutGating::new(Cycles::new(100));
+        let mut policy = PolicyKind::Timeout { idle_cycles: 100 }.instantiate();
         assert_eq!(policy.decide(&stall(80), &ctx()), StallAction::ClockGate);
         match policy.decide(&stall(300), &ctx()) {
             StallAction::PowerGate { gate_at, wake_at } => {
@@ -566,7 +444,7 @@ mod tests {
 
     #[test]
     fn oracle_gates_only_above_break_even() {
-        let mut policy = MapgPolicy::oracle();
+        let mut policy = PolicyKind::MapgOracle.instantiate();
         assert_eq!(
             policy.decide(&stall(30), &ctx()),
             StallAction::ClockGate,
@@ -584,7 +462,7 @@ mod tests {
 
     #[test]
     fn predictive_learns_then_gates() {
-        let mut policy = MapgPolicy::predictive();
+        let mut policy = PolicyKind::Mapg.instantiate();
         let info = stall(400);
         // Default estimate (200) ≥ BET (50): gates immediately.
         let action = policy.decide(&info, &ctx());
@@ -595,7 +473,7 @@ mod tests {
 
     #[test]
     fn predictive_skips_after_learning_short_stalls() {
-        let mut policy = MapgPolicy::predictive();
+        let mut policy = PolicyKind::Mapg.instantiate();
         let short = stall(10);
         let context = ctx();
         // Train the PC with many short stalls.
@@ -612,7 +490,7 @@ mod tests {
 
     #[test]
     fn always_gate_ablation_ignores_break_even() {
-        let mut policy = MapgPolicy::always_gate();
+        let mut policy = PolicyKind::MapgAlwaysGate.instantiate();
         let short = stall(10);
         let context = ctx();
         for _ in 0..50 {
@@ -627,7 +505,7 @@ mod tests {
 
     #[test]
     fn no_early_wake_ablation_wakes_reactively() {
-        let mut policy = MapgPolicy::no_early_wake();
+        let mut policy = PolicyKind::MapgNoEarlyWake.instantiate();
         match policy.decide(&stall(400), &ctx()) {
             StallAction::PowerGate { wake_at, .. } => {
                 assert_eq!(wake_at, Cycle::new(1400), "reactive wake");
@@ -637,23 +515,14 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_match_instances() {
-        for kind in PolicyKind::COMPARISON_SET {
-            assert_eq!(kind.name(), kind.instantiate().name());
-        }
-        assert_eq!(
-            PolicyKind::MapgAlwaysGate.name(),
-            PolicyKind::MapgAlwaysGate.instantiate().name()
-        );
-        assert_eq!(
-            PolicyKind::MapgNoEarlyWake.name(),
-            PolicyKind::MapgNoEarlyWake.instantiate().name()
-        );
+    #[should_panic(expected = "guard")]
+    fn guard_must_be_finite() {
+        let _ = PolicyKind::Mapg.instantiate().with_guard(f64::NAN);
     }
 
     #[test]
-    #[should_panic(expected = "guard")]
-    fn guard_must_be_finite() {
-        let _ = MapgPolicy::predictive().with_guard(f64::NAN);
+    #[should_panic(expected = "MAPG policy")]
+    fn guard_needs_a_mapg_kind() {
+        let _ = PolicyKind::ClockGating.instantiate().with_guard(1.0);
     }
 }

@@ -15,154 +15,70 @@ use mapg_units::Cycles;
 use core::fmt;
 
 /// Predicts the duration of a stall at its onset, learning from completed
-/// stalls.
+/// stalls; [`PredictorKind`](crate::PredictorKind) selects the variant.
 ///
-/// Implementations must derive predictions **only** from past observations
+/// Every variant derives its prediction **only** from past observations
 /// and the onset context in [`StallInfo`] (PC, cause, outstanding count) —
 /// never from `StallInfo::data_ready`, which is oracle information. The
-/// only intentional exception is [`OraclePredictor`], the upper-bound
+/// only intentional exception is [`Predictor::Oracle`], the upper-bound
 /// reference.
-pub trait MissLatencyPredictor {
-    /// Predicts the duration of the stall described by `info`.
-    fn predict(&mut self, info: &StallInfo) -> Cycles;
-
-    /// Learns from a completed stall of duration `actual`.
-    fn observe(&mut self, info: &StallInfo, actual: Cycles);
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
+#[derive(Debug, Clone)]
+pub(crate) enum Predictor {
+    /// Always predicts a fixed duration (e.g. the nominal DRAM round trip).
+    Static {
+        /// The fixed prediction.
+        estimate: Cycles,
+    },
+    /// Predicts the duration of the previous stall (global last-value).
+    LastValue {
+        /// The previous stall's duration (the seed before the first).
+        last: Cycles,
+    },
+    /// One exponentially weighted moving average over all stalls.
+    Ewma(Ewma),
+    /// PC-indexed table of EWMAs: stalls caused by different load
+    /// instructions (different traversal patterns) learn independently.
+    /// This is the predictor MAPG's policy uses.
+    HistoryTable {
+        /// Per-PC averages.
+        table: HashMap<u64, Ewma>,
+        /// Prediction for untracked PCs, and every new entry's seed.
+        default_estimate: Cycles,
+        /// Smoothing of new entries (`alpha = alpha_x16 / 16`).
+        alpha_x16: u64,
+        /// Most PCs tracked at once.
+        capacity: usize,
+    },
+    /// The oracle: "predicts" the actual duration. Upper bound for R-F7
+    /// and the decision engine of the `MapgOracle` policy.
+    Oracle,
 }
 
-/// Always predicts a fixed duration (e.g. the nominal DRAM round trip).
-#[derive(Debug, Clone, Copy)]
-pub struct StaticPredictor {
-    estimate: Cycles,
-}
-
-impl StaticPredictor {
-    /// Creates the predictor with a fixed `estimate`.
-    pub fn new(estimate: Cycles) -> Self {
-        StaticPredictor { estimate }
-    }
-}
-
-impl MissLatencyPredictor for StaticPredictor {
-    fn predict(&mut self, _info: &StallInfo) -> Cycles {
-        self.estimate
-    }
-
-    fn observe(&mut self, _info: &StallInfo, _actual: Cycles) {}
-
-    fn name(&self) -> &'static str {
-        "static"
-    }
-}
-
-/// Predicts the duration of the previous stall (global last-value).
-#[derive(Debug, Clone, Copy)]
-pub struct LastValuePredictor {
-    last: Cycles,
-}
-
-impl LastValuePredictor {
-    /// Creates the predictor seeded with `initial` (used before the first
-    /// observation).
-    pub fn new(initial: Cycles) -> Self {
-        LastValuePredictor { last: initial }
-    }
-}
-
-impl MissLatencyPredictor for LastValuePredictor {
-    fn predict(&mut self, _info: &StallInfo) -> Cycles {
-        self.last
-    }
-
-    fn observe(&mut self, _info: &StallInfo, actual: Cycles) {
-        self.last = actual;
-    }
-
-    fn name(&self) -> &'static str {
-        "last-value"
-    }
-}
-
-/// Fixed-point exponentially weighted moving average over all stalls.
-///
-/// The EWMA is maintained in 1/16-cycle fixed point with `alpha = n/16`,
-/// matching what a hardware implementation (shift-add) would do.
-#[derive(Debug, Clone, Copy)]
-pub struct EwmaPredictor {
-    /// EWMA in 1/16 cycles.
-    state_x16: u64,
-    /// Numerator of alpha over 16 (1..=16).
-    alpha_x16: u64,
-}
-
-impl EwmaPredictor {
-    /// Creates the predictor with smoothing `alpha_x16/16` seeded at
-    /// `initial`.
+impl Predictor {
+    /// A global EWMA with smoothing `alpha_x16/16`, seeded at `initial`.
     ///
     /// # Panics
     ///
     /// Panics if `alpha_x16` is not in `1..=16`.
-    pub fn new(initial: Cycles, alpha_x16: u64) -> Self {
-        assert!(
-            (1..=16).contains(&alpha_x16),
-            "alpha_x16 must be in 1..=16, got {alpha_x16}"
-        );
-        EwmaPredictor {
-            state_x16: initial.raw() * 16,
-            alpha_x16,
-        }
+    pub(crate) fn ewma(initial: Cycles, alpha_x16: u64) -> Self {
+        Predictor::Ewma(Ewma::new(initial, alpha_x16))
     }
 
-    fn fold(&mut self, actual: Cycles) {
-        let sample_x16 = actual.raw() * 16;
-        self.state_x16 =
-            (self.state_x16 * (16 - self.alpha_x16) + sample_x16 * self.alpha_x16) / 16;
-    }
-}
-
-impl MissLatencyPredictor for EwmaPredictor {
-    fn predict(&mut self, _info: &StallInfo) -> Cycles {
-        Cycles::new(self.state_x16 / 16)
-    }
-
-    fn observe(&mut self, _info: &StallInfo, actual: Cycles) {
-        self.fold(actual);
-    }
-
-    fn name(&self) -> &'static str {
-        "ewma"
-    }
-}
-
-/// PC-indexed table of EWMAs: stalls caused by different load instructions
-/// (different traversal patterns) learn independently. This is the
-/// predictor MAPG's policy uses.
-#[derive(Debug, Clone)]
-pub struct HistoryTablePredictor {
-    table: HashMap<u64, EwmaPredictor>,
-    default_estimate: Cycles,
-    alpha_x16: u64,
-    capacity: usize,
-}
-
-impl HistoryTablePredictor {
-    /// Creates a table of at most `capacity` PC entries, each an EWMA with
-    /// the given smoothing, falling back to `default_estimate` for unseen
-    /// PCs.
+    /// A table of at most `capacity` PC entries, each an EWMA with the
+    /// given smoothing, falling back to `default_estimate` for unseen PCs.
+    /// The hardware-realistic default is 64 entries, alpha = 4/16, seeded
+    /// at 200 cycles (a typical loaded DRAM round trip).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero or `alpha_x16` not in `1..=16`.
-    pub fn new(default_estimate: Cycles, alpha_x16: u64, capacity: usize) -> Self {
+    pub(crate) fn history_table(default_estimate: Cycles, alpha_x16: u64, capacity: usize) -> Self {
         assert!(capacity > 0, "history table needs capacity");
         assert!(
             (1..=16).contains(&alpha_x16),
             "alpha_x16 must be in 1..=16, got {alpha_x16}"
         );
-        HistoryTablePredictor {
+        Predictor::HistoryTable {
             table: HashMap::new(),
             default_estimate,
             alpha_x16,
@@ -170,60 +86,80 @@ impl HistoryTablePredictor {
         }
     }
 
-    /// The hardware-realistic default: 64 entries, alpha = 4/16, seeded at
-    /// 200 cycles (a typical loaded DRAM round trip).
-    pub fn hardware_default() -> Self {
-        HistoryTablePredictor::new(Cycles::new(200), 4, 64)
+    /// Predicts the duration of the stall described by `info`.
+    pub(crate) fn predict(&self, info: &StallInfo) -> Cycles {
+        match self {
+            Predictor::Static { estimate } => *estimate,
+            Predictor::LastValue { last } => *last,
+            Predictor::Ewma(ewma) => ewma.predict(),
+            Predictor::HistoryTable {
+                table,
+                default_estimate,
+                ..
+            } => table.get(&info.pc).map_or(*default_estimate, Ewma::predict),
+            Predictor::Oracle => info.natural_duration(),
+        }
     }
 
-    /// Current number of tracked PCs.
-    pub fn entries(&self) -> usize {
-        self.table.len()
+    /// Learns from a completed stall of duration `actual`.
+    pub(crate) fn observe(&mut self, info: &StallInfo, actual: Cycles) {
+        match self {
+            Predictor::Static { .. } | Predictor::Oracle => {}
+            Predictor::LastValue { last } => *last = actual,
+            Predictor::Ewma(ewma) => ewma.fold(actual),
+            Predictor::HistoryTable {
+                table,
+                default_estimate,
+                alpha_x16,
+                capacity,
+            } => {
+                if let Some(entry) = table.get_mut(&info.pc) {
+                    entry.fold(actual);
+                } else if table.len() < *capacity {
+                    let mut entry = Ewma::new(*default_estimate, *alpha_x16);
+                    entry.fold(actual);
+                    table.insert(info.pc, entry);
+                }
+                // Table full and PC untracked: drop the sample (no
+                // replacement policy, like a direct-mapped untagged table
+                // would alias — the conservative choice for a model).
+            }
+        }
     }
 }
 
-impl MissLatencyPredictor for HistoryTablePredictor {
-    fn predict(&mut self, info: &StallInfo) -> Cycles {
-        match self.table.get_mut(&info.pc) {
-            Some(entry) => entry.predict(info),
-            None => self.default_estimate,
-        }
-    }
-
-    fn observe(&mut self, info: &StallInfo, actual: Cycles) {
-        if let Some(entry) = self.table.get_mut(&info.pc) {
-            entry.fold(actual);
-            return;
-        }
-        if self.table.len() < self.capacity {
-            let mut entry = EwmaPredictor::new(self.default_estimate, self.alpha_x16);
-            entry.fold(actual);
-            self.table.insert(info.pc, entry);
-        }
-        // Table full and PC untracked: drop the sample (no replacement
-        // policy, like a direct-mapped untagged table would alias — the
-        // conservative choice for a model).
-    }
-
-    fn name(&self) -> &'static str {
-        "history-table"
-    }
+/// Fixed-point exponentially weighted moving average.
+///
+/// The EWMA is maintained in 1/16-cycle fixed point with `alpha = n/16`,
+/// matching what a hardware implementation (shift-add) would do.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ewma {
+    /// EWMA in 1/16 cycles.
+    state_x16: u64,
+    /// Numerator of alpha over 16 (1..=16).
+    alpha_x16: u64,
 }
 
-/// The oracle: "predicts" the actual duration. Upper bound for R-F7 and
-/// the decision engine for the `MapgOracle` policy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OraclePredictor;
-
-impl MissLatencyPredictor for OraclePredictor {
-    fn predict(&mut self, info: &StallInfo) -> Cycles {
-        info.natural_duration()
+impl Ewma {
+    fn new(initial: Cycles, alpha_x16: u64) -> Self {
+        assert!(
+            (1..=16).contains(&alpha_x16),
+            "alpha_x16 must be in 1..=16, got {alpha_x16}"
+        );
+        Ewma {
+            state_x16: initial.raw() * 16,
+            alpha_x16,
+        }
     }
 
-    fn observe(&mut self, _info: &StallInfo, _actual: Cycles) {}
+    fn predict(&self) -> Cycles {
+        Cycles::new(self.state_x16 / 16)
+    }
 
-    fn name(&self) -> &'static str {
-        "oracle"
+    fn fold(&mut self, actual: Cycles) {
+        let sample_x16 = actual.raw() * 16;
+        self.state_x16 =
+            (self.state_x16 * (16 - self.alpha_x16) + sample_x16 * self.alpha_x16) / 16;
     }
 }
 
@@ -347,17 +283,20 @@ mod tests {
 
     #[test]
     fn static_predictor_never_moves() {
-        let mut p = StaticPredictor::new(Cycles::new(150));
+        let mut p = Predictor::Static {
+            estimate: Cycles::new(150),
+        };
         let i = info(0x400, 500);
         assert_eq!(p.predict(&i), Cycles::new(150));
         p.observe(&i, Cycles::new(500));
         assert_eq!(p.predict(&i), Cycles::new(150));
-        assert_eq!(p.name(), "static");
     }
 
     #[test]
     fn last_value_tracks_previous() {
-        let mut p = LastValuePredictor::new(Cycles::new(100));
+        let mut p = Predictor::LastValue {
+            last: Cycles::new(100),
+        };
         let i = info(0x400, 300);
         assert_eq!(p.predict(&i), Cycles::new(100));
         p.observe(&i, Cycles::new(300));
@@ -366,7 +305,7 @@ mod tests {
 
     #[test]
     fn ewma_converges_to_constant_input() {
-        let mut p = EwmaPredictor::new(Cycles::new(100), 4);
+        let mut p = Predictor::ewma(Cycles::new(100), 4);
         let i = info(0x400, 400);
         for _ in 0..100 {
             p.observe(&i, Cycles::new(400));
@@ -380,7 +319,7 @@ mod tests {
 
     #[test]
     fn ewma_is_smoother_than_last_value() {
-        let mut ewma = EwmaPredictor::new(Cycles::new(200), 2);
+        let mut ewma = Predictor::ewma(Cycles::new(200), 2);
         let i = info(0x400, 0);
         // One outlier among steady 200s.
         for _ in 0..20 {
@@ -397,12 +336,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha_x16")]
     fn ewma_rejects_bad_alpha() {
-        let _ = EwmaPredictor::new(Cycles::new(10), 0);
+        let _ = Predictor::ewma(Cycles::new(10), 0);
+    }
+
+    /// PCs tracked by a history table.
+    fn entries(p: &Predictor) -> usize {
+        match p {
+            Predictor::HistoryTable { table, .. } => table.len(),
+            other => panic!("not a history table: {other:?}"),
+        }
     }
 
     #[test]
     fn history_table_separates_pcs() {
-        let mut p = HistoryTablePredictor::new(Cycles::new(200), 8, 16);
+        let mut p = Predictor::history_table(Cycles::new(200), 8, 16);
         let fast = info(0x100, 0);
         let slow = info(0x200, 0);
         for _ in 0..50 {
@@ -413,24 +360,23 @@ mod tests {
         let slow_pred = p.predict(&slow).raw();
         assert!(fast_pred < 150, "fast PC learned {fast_pred}");
         assert!(slow_pred > 400, "slow PC learned {slow_pred}");
-        assert_eq!(p.entries(), 2);
+        assert_eq!(entries(&p), 2);
     }
 
     #[test]
     fn history_table_caps_capacity() {
-        let mut p = HistoryTablePredictor::new(Cycles::new(200), 8, 4);
+        let mut p = Predictor::history_table(Cycles::new(200), 8, 4);
         for pc in 0..100u64 {
             p.observe(&info(pc, 0), Cycles::new(100));
         }
-        assert_eq!(p.entries(), 4);
+        assert_eq!(entries(&p), 4);
         // Untracked PCs fall back to the default.
         assert_eq!(p.predict(&info(99, 0)), Cycles::new(200));
     }
 
     #[test]
     fn oracle_reads_the_future() {
-        let mut p = OraclePredictor;
-        assert_eq!(p.predict(&info(0x1, 432)), Cycles::new(432));
+        assert_eq!(Predictor::Oracle.predict(&info(0x1, 432)), Cycles::new(432));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::controller::{Controller, ControllerConfig};
 use crate::error::MapgError;
 use crate::faults::FaultPlan;
 use crate::invariants::{InvariantKind, InvariantViolation};
-use crate::policy::PolicyKind;
+use crate::policy::Policy;
 use crate::report::RunReport;
 use crate::watchdog::WatchdogConfig;
 
@@ -480,13 +480,18 @@ fn drive_cluster<S: EventSource>(
 #[derive(Debug)]
 pub struct Simulation {
     config: SimConfig,
-    policy: PolicyKind,
+    policy: Policy,
 }
 
 impl Simulation {
-    /// Pairs a configuration with a policy.
-    pub fn new(config: SimConfig, policy: PolicyKind) -> Self {
-        Simulation { config, policy }
+    /// Pairs a configuration with a policy: a [`PolicyKind`](crate::PolicyKind),
+    /// or a [`Policy`] built from one and adjusted (e.g. with
+    /// [`Policy::with_guard`]).
+    pub fn new(config: SimConfig, policy: impl Into<Policy>) -> Self {
+        Simulation {
+            config,
+            policy: policy.into(),
+        }
     }
 
     /// Runs to completion and produces the report.
@@ -526,7 +531,7 @@ impl Simulation {
             fault_seed: config.seed,
             watchdog: config.watchdog,
         };
-        let mut controller = Controller::new(self.policy.instantiate(), controller_config);
+        let mut controller = Controller::new(self.policy, controller_config);
         if config.record_timeline {
             controller.enable_timeline();
         }
@@ -694,6 +699,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyKind;
 
     fn quick() -> SimConfig {
         SimConfig::default().with_instructions(100_000)
