@@ -428,8 +428,8 @@ mod tests {
     fn metrics_embed_under_the_entry() {
         let mut manifest = sample();
         let mut registry = MetricsRegistry::new();
-        registry.count("gates", 42);
-        registry.observe("gated_duration", 512);
+        registry.count(mapg_obs::Metric::Gates, 42);
+        registry.observe(mapg_obs::Metric::GatedDuration, 512);
         manifest.experiments[0].metrics = Some(registry.clone());
         let doc = parsed(&manifest);
         let entries = items(doc.get("experiments"));

@@ -2,7 +2,7 @@
 //! drives the per-core FSMs, and reports resume times to the cores.
 
 use mapg_cpu::{StallHandler, StallInfo};
-use mapg_obs::{EventKind, FaultKind, ObsHandle, Scope};
+use mapg_obs::{EventKind, FaultKind, Metric, ObsHandle, Scope};
 use mapg_power::{EnergyAccount, EnergyCategory, PgCircuitDesign, TechnologyParams};
 use mapg_units::{Cycle, Cycles, Hertz, Watts};
 
@@ -607,7 +607,7 @@ impl Controller {
         );
         let wake_done = self.wake_from_sleep(info.core, gate_at, entry_done, wake_start, wakeup);
         self.stats.gated += 1;
-        self.obs.count("gates", 1);
+        self.obs.count(Metric::Gates, 1);
 
         // --- nap chaining -------------------------------------------------
         // The core woke early (under-predicted stall) and the data is still
@@ -635,7 +635,7 @@ impl Controller {
                 nap_wakeup,
             );
             self.stats.regates += 1;
-            self.obs.count("regates", 1);
+            self.obs.count(Metric::Regates, 1);
         }
 
         // --- tail / penalty accounting ------------------------------------
@@ -762,12 +762,12 @@ impl Controller {
             self.config.circuit.transition_energy(),
         );
         self.stats.gated_cycles += sleeping.raw();
-        self.obs.observe("gated_duration", sleeping.raw());
-        self.obs.observe("wake_latency", wakeup.raw());
+        self.obs.observe(Metric::GatedDuration, sleeping.raw());
+        self.obs.observe(Metric::WakeLatency, wakeup.raw());
         if sleeping < self.ctx.break_even {
-            self.obs.count("bet_misses", 1);
+            self.obs.count(Metric::BetMisses, 1);
             self.obs
-                .observe("bet_shortfall", (self.ctx.break_even - sleeping).raw());
+                .observe(Metric::BetShortfall, (self.ctx.break_even - sleeping).raw());
         }
         self.record_pg_cycle(core, gate_at, entry_done, wake_start, wake_done);
         wake_done

@@ -57,10 +57,10 @@ impl StateResidency {
     /// `fsm_*_cycles` counters. Summed over all cores these reconcile
     /// with the trace-derived sleep spans and the gating statistics.
     pub fn record_metrics(&self, obs: &mapg_obs::ObsHandle) {
-        obs.count("fsm_active_cycles", self.active.raw());
-        obs.count("fsm_entering_cycles", self.entering.raw());
-        obs.count("fsm_sleeping_cycles", self.sleeping.raw());
-        obs.count("fsm_waking_cycles", self.waking.raw());
+        obs.count(mapg_obs::Metric::FsmActiveCycles, self.active.raw());
+        obs.count(mapg_obs::Metric::FsmEnteringCycles, self.entering.raw());
+        obs.count(mapg_obs::Metric::FsmSleepingCycles, self.sleeping.raw());
+        obs.count(mapg_obs::Metric::FsmWakingCycles, self.waking.raw());
     }
 }
 

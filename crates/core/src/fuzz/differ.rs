@@ -10,7 +10,7 @@ use crate::fuzz::scenario::Scenario;
 use crate::invariants::InvariantKind;
 use crate::report::RunReport;
 use crate::sim::{SimConfig, Simulation};
-use mapg_obs::{EventKind, Scope, TraceBuffer};
+use mapg_obs::{EventKind, Histogram, Scope, TraceBuffer};
 
 /// What kind of disagreement a scenario exposed, most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -229,6 +229,73 @@ pub fn check_reconciliation(report: &RunReport) -> Option<String> {
                 metrics.counter("fsm_sleeping_cycles"),
                 gating.gated_cycles
             ));
+        }
+        // Every counter has an independent witness: the report's own
+        // stats, or the histogram its emission site fills alongside it.
+        let samples = |name| metrics.histogram(name).map_or(0, Histogram::count);
+        let core_stalls = metrics.counter("core_stalls");
+        let degradation = &report.degradation;
+        let dram = &report.memory.dram;
+        for (left, right, law) in [
+            (
+                core_stalls,
+                report.core_stats.iter().map(|c| c.stall_count).sum(),
+                "metrics core_stalls != report core stall_count sum",
+            ),
+            (
+                core_stalls,
+                samples("stall_length"),
+                "metrics core_stalls != stall_length count",
+            ),
+            (
+                metrics.counter("llc_misses"),
+                samples("miss_latency"),
+                "metrics llc_misses != miss_latency count",
+            ),
+            (
+                metrics.counter("dram_accesses"),
+                dram.accesses(),
+                "metrics dram_accesses != report dram accesses",
+            ),
+            (
+                metrics.counter("dram_fault_spikes"),
+                dram.fault_spikes,
+                "metrics dram_fault_spikes != report dram fault_spikes",
+            ),
+            (
+                metrics.counter("token_grants"),
+                samples("token_wait"),
+                "metrics token_grants != token_wait count",
+            ),
+            (
+                metrics.counter("bet_misses"),
+                samples("bet_shortfall"),
+                "metrics bet_misses != bet_shortfall count",
+            ),
+            (
+                samples("wake_latency"),
+                samples("gated_duration"),
+                "wake_latency count != gated_duration count",
+            ),
+            (
+                metrics.counter("safe_mode_trips"),
+                degradation.safe_mode_entries,
+                "metrics safe_mode_trips != report safe_mode_entries",
+            ),
+            (
+                metrics.counter("safe_mode_recoveries"),
+                degradation.recoveries,
+                "metrics safe_mode_recoveries != report recoveries",
+            ),
+            (
+                metrics.counter("demoted_gates"),
+                degradation.demoted_gates,
+                "metrics demoted_gates != report demoted_gates",
+            ),
+        ] {
+            if left != right {
+                problems.push(format!("{law} ({left} != {right})"));
+            }
         }
         match metrics.histogram("gated_duration") {
             Some(h) => {

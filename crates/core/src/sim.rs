@@ -705,6 +705,24 @@ mod tests {
         SimConfig::default().with_instructions(100_000)
     }
 
+    /// The thread contract: a simulation's observability handle is built,
+    /// used and dropped inside [`Simulation::try_run`] on one thread, so
+    /// it need not cross threads. What does cross threads — the inputs a
+    /// pool worker receives, the report it returns, the run's trace and
+    /// metrics, and the hubs many runs publish into — must stay so.
+    #[test]
+    fn simulation_inputs_outputs_and_hubs_cross_threads() {
+        fn assert_send<T: Send>() {}
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send::<SimConfig>();
+        assert_send::<Simulation>();
+        assert_send::<RunReport>();
+        assert_send::<mapg_obs::TraceBuffer>();
+        assert_send::<mapg_obs::MetricsRegistry>();
+        assert_send_sync::<MetricsHub>();
+        assert_send_sync::<EventHub>();
+    }
+
     #[test]
     fn deterministic_reports() {
         let a = Simulation::new(quick(), PolicyKind::Mapg).run();

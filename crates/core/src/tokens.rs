@@ -95,8 +95,9 @@ impl TokenManager {
         let start = ready.max(self.slots[slot]);
         self.slots[slot] = start + duration;
         self.grants += 1;
-        self.obs.count("token_grants", 1);
-        self.obs.observe("token_wait", (start - ready).raw());
+        self.obs.count(mapg_obs::Metric::TokenGrants, 1);
+        self.obs
+            .observe(mapg_obs::Metric::TokenWait, (start - ready).raw());
         if start > ready {
             self.delayed_grants += 1;
             self.delay_cycles += (start - ready).raw();

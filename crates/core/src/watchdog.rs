@@ -174,7 +174,7 @@ impl Watchdog {
             if now >= until {
                 self.mode = Mode::Armed;
                 self.stats.recoveries += 1;
-                self.obs.count("safe_mode_recoveries", 1);
+                self.obs.count(mapg_obs::Metric::SafeModeRecoveries, 1);
                 // Hysteresis: fresh evidence only after re-arm.
                 self.clear_window();
                 return false;
@@ -207,7 +207,7 @@ impl Watchdog {
                 until: now + self.backoff,
             };
             self.stats.safe_mode_entries += 1;
-            self.obs.count("safe_mode_trips", 1);
+            self.obs.count(mapg_obs::Metric::SafeModeTrips, 1);
             self.backoff = self.backoff.scale(2.0).min(self.config.backoff_max);
             self.clear_window();
         } else if self.filled == self.config.window {
@@ -222,7 +222,7 @@ impl Watchdog {
     pub fn note_demotion(&mut self, stall: Cycles) {
         self.stats.demoted_gates += 1;
         self.stats.safe_stall_cycles += stall.raw();
-        self.obs.count("demoted_gates", 1);
+        self.obs.count(mapg_obs::Metric::DemotedGates, 1);
     }
 
     /// Degradation statistics so far.

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use mapg::{FaultPlan, PolicyKind, SimConfig, Simulation};
-use mapg_obs::{EventKind, Scope, TraceBuffer};
+use mapg_obs::{EventKind, Histogram, Scope, TraceBuffer};
 
 fn fault_plan(choice: usize) -> FaultPlan {
     match choice {
@@ -166,6 +166,41 @@ proptest! {
             report.gating.gated + report.gating.regates
         );
         prop_assert_eq!(gated_hist.sum(), report.gating.gated_cycles);
+
+        // Every other counter against its independent witness: the
+        // report's own stats, or the histogram filled alongside it.
+        let samples = |name| metrics.histogram(name).map_or(0, Histogram::count);
+        let core_stalls = metrics.counter("core_stalls");
+        prop_assert_eq!(
+            core_stalls,
+            report.core_stats.iter().map(|c| c.stall_count).sum::<u64>()
+        );
+        prop_assert_eq!(core_stalls, samples("stall_length"));
+        prop_assert_eq!(metrics.counter("llc_misses"), samples("miss_latency"));
+        prop_assert_eq!(
+            metrics.counter("dram_accesses"),
+            report.memory.dram.accesses()
+        );
+        prop_assert_eq!(
+            metrics.counter("dram_fault_spikes"),
+            report.memory.dram.fault_spikes
+        );
+        prop_assert_eq!(metrics.counter("token_grants"), samples("token_wait"));
+        prop_assert_eq!(metrics.counter("bet_misses"), samples("bet_shortfall"));
+        prop_assert_eq!(samples("wake_latency"), samples("gated_duration"));
+        let degradation = &report.degradation;
+        prop_assert_eq!(
+            metrics.counter("safe_mode_trips"),
+            degradation.safe_mode_entries
+        );
+        prop_assert_eq!(
+            metrics.counter("safe_mode_recoveries"),
+            degradation.recoveries
+        );
+        prop_assert_eq!(
+            metrics.counter("demoted_gates"),
+            degradation.demoted_gates
+        );
 
         // Event counts match the stats' view of gating activity.
         let enters = trace.count_kind(EventKind::SleepEnter) as u64;

@@ -1,7 +1,7 @@
 //! The bounded-MLP core.
 
 use mapg_mem::{LatencyHistogram, MemoryHierarchy, ServiceLevel};
-use mapg_obs::{EventKind, ObsHandle, Scope};
+use mapg_obs::{EventKind, Metric, ObsHandle, Scope};
 use mapg_trace::{AccessKind, EventSource, TraceEvent};
 use mapg_units::{Cycle, Cycles, Hertz};
 
@@ -412,9 +412,9 @@ impl<S: EventSource> Core<S> {
         };
         let scope = Scope::Core(self.id.0 as u32);
         self.obs.emit(self.now.raw(), scope, EventKind::StallBegin);
-        self.obs.count("core_stalls", 1);
+        self.obs.count(Metric::CoreStalls, 1);
         self.obs
-            .observe("stall_length", info.natural_duration().raw());
+            .observe(Metric::StallLength, info.natural_duration().raw());
         let resume = handler.on_stall(&info);
         debug_assert!(
             resume >= data_ready,

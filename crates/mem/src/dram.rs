@@ -395,9 +395,9 @@ impl Dram {
                 mapg_obs::Scope::Bank(bank_index as u32),
                 mapg_obs::EventKind::FaultInjected(mapg_obs::FaultKind::DramSpike),
             );
-            self.obs.count("dram_fault_spikes", 1);
+            self.obs.count(mapg_obs::Metric::DramFaultSpikes, 1);
         }
-        self.obs.count("dram_accesses", 1);
+        self.obs.count(mapg_obs::Metric::DramAccesses, 1);
 
         // Data leaves the array, then must win the shared channel.
         let data_ready = start + array_latency;

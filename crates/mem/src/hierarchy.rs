@@ -290,9 +290,11 @@ impl MemoryHierarchy {
                     self.mshrs.commit(line, completion);
                     self.miss_latency
                         .record(completion.saturating_since(issued));
-                    self.obs.count("llc_misses", 1);
-                    self.obs
-                        .observe("miss_latency", completion.saturating_since(issued).raw());
+                    self.obs.count(mapg_obs::Metric::LlcMisses, 1);
+                    self.obs.observe(
+                        mapg_obs::Metric::MissLatency,
+                        completion.saturating_since(issued).raw(),
+                    );
                     self.issue_prefetches(line, completion);
                     return AccessResponse {
                         completion,

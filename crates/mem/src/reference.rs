@@ -228,9 +228,9 @@ impl RefDram {
                 mapg_obs::Scope::Bank(bank_index as u32),
                 mapg_obs::EventKind::FaultInjected(mapg_obs::FaultKind::DramSpike),
             );
-            self.obs.count("dram_fault_spikes", 1);
+            self.obs.count(mapg_obs::Metric::DramFaultSpikes, 1);
         }
-        self.obs.count("dram_accesses", 1);
+        self.obs.count(mapg_obs::Metric::DramAccesses, 1);
 
         let data_ready = start + array_latency;
         let burst_start = data_ready.max(self.bus_free);
@@ -468,9 +468,11 @@ impl ReferenceHierarchy {
                     self.mshrs.commit(line, completion);
                     self.miss_latency
                         .record(completion.saturating_since(issued));
-                    self.obs.count("llc_misses", 1);
-                    self.obs
-                        .observe("miss_latency", completion.saturating_since(issued).raw());
+                    self.obs.count(mapg_obs::Metric::LlcMisses, 1);
+                    self.obs.observe(
+                        mapg_obs::Metric::MissLatency,
+                        completion.saturating_since(issued).raw(),
+                    );
                     self.issue_prefetches(line, completion);
                     return AccessResponse {
                         completion,

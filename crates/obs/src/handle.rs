@@ -1,9 +1,10 @@
 //! The zero-cost-when-disabled instrumentation handle.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::event::{EventKind, Scope, TraceRecord};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Metric, MetricsRegistry};
 use crate::trace::TraceBuffer;
 
 /// The mutable observability state one simulation writes into.
@@ -16,16 +17,17 @@ struct Observer {
 /// The handle components hold to emit events and record metrics.
 ///
 /// A handle is either **disabled** (the default: every call is one branch
-/// on a `None`, no allocation, no locking) or **enabled**, in which case
-/// clones share a single per-simulation `Observer` via `Arc<Mutex<_>>`.
-/// A simulation emits single-threaded — in simulation order — so the lock
-/// is uncontended; `Arc<Mutex<_>>` rather than `Rc<RefCell<_>>` keeps the
-/// handle `Send + Sync`, so a simulation and its components can run on
-/// any pool worker. Cross-thread metric aggregation across whole runs
-/// goes through [`MetricsHub`](crate::MetricsHub).
+/// on a `None`, no allocation) or **enabled**, in which case clones share
+/// a single per-simulation `Observer` via `Rc<RefCell<_>>`. A simulation
+/// builds its handle, runs and drops it on one thread, emitting in
+/// simulation order, so the handle is deliberately neither `Send` nor
+/// `Sync`: recording is a borrow-flag check, not a lock. What crosses
+/// threads is the run's output — the collected [`TraceBuffer`] and
+/// [`MetricsRegistry`] — and whole-run aggregation goes through
+/// [`MetricsHub`](crate::MetricsHub) and [`EventHub`](crate::EventHub).
 #[derive(Debug, Clone, Default)]
 pub struct ObsHandle {
-    inner: Option<Arc<Mutex<Observer>>>,
+    inner: Option<Rc<RefCell<Observer>>>,
 }
 
 impl ObsHandle {
@@ -42,37 +44,19 @@ impl ObsHandle {
             return ObsHandle::disabled();
         }
         ObsHandle {
-            inner: Some(Arc::new(Mutex::new(Observer {
+            inner: Some(Rc::new(RefCell::new(Observer {
                 trace: trace_capacity.map(TraceBuffer::new),
                 metrics_registry: metrics.then(MetricsRegistry::new),
             }))),
         }
     }
 
-    /// True when any sink (trace or metrics) is attached.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// True when a trace sink is attached.
-    pub fn trace_enabled(&self) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => inner
-                .lock()
-                .expect("observer lock poisoned")
-                .trace
-                .is_some(),
-        }
-    }
-
     /// Appends an event to the trace, if tracing is enabled.
     ///
     /// When disabled this compiles to a single never-taken test on the
-    /// `Option`'s pointer; the lock/push machinery lives in an
-    /// out-of-line `#[cold]` body so it never pollutes the simulator's
-    /// hot-loop instruction stream.
+    /// `Option`'s pointer; the push machinery lives in an out-of-line
+    /// `#[cold]` body so it never pollutes the simulator's hot-loop
+    /// instruction stream.
     #[inline]
     pub fn emit(&self, at: u64, scope: Scope, kind: EventKind) {
         if let Some(inner) = &self.inner {
@@ -82,49 +66,41 @@ impl ObsHandle {
 
     #[cold]
     #[inline(never)]
-    fn emit_slow(inner: &Arc<Mutex<Observer>>, at: u64, scope: Scope, kind: EventKind) {
-        if let Some(trace) = &mut inner.lock().expect("observer lock poisoned").trace {
+    fn emit_slow(inner: &RefCell<Observer>, at: u64, scope: Scope, kind: EventKind) {
+        if let Some(trace) = &mut inner.borrow_mut().trace {
             trace.push(TraceRecord { at, scope, kind });
         }
     }
 
-    /// Adds `n` to a named counter, if metrics are enabled.
+    /// Adds `n` to `metric`'s counter, if metrics are enabled.
     #[inline]
-    pub fn count(&self, name: &'static str, n: u64) {
+    pub fn count(&self, metric: Metric, n: u64) {
         if let Some(inner) = &self.inner {
-            Self::count_slow(inner, name, n);
+            Self::count_slow(inner, metric, n);
         }
     }
 
     #[cold]
     #[inline(never)]
-    fn count_slow(inner: &Arc<Mutex<Observer>>, name: &'static str, n: u64) {
-        if let Some(metrics) = &mut inner
-            .lock()
-            .expect("observer lock poisoned")
-            .metrics_registry
-        {
-            metrics.count(name, n);
+    fn count_slow(inner: &RefCell<Observer>, metric: Metric, n: u64) {
+        if let Some(metrics) = &mut inner.borrow_mut().metrics_registry {
+            metrics.count(metric, n);
         }
     }
 
-    /// Records a histogram sample, if metrics are enabled.
+    /// Records a sample of `metric`'s histogram, if metrics are enabled.
     #[inline]
-    pub fn observe(&self, name: &'static str, value: u64) {
+    pub fn observe(&self, metric: Metric, value: u64) {
         if let Some(inner) = &self.inner {
-            Self::observe_slow(inner, name, value);
+            Self::observe_slow(inner, metric, value);
         }
     }
 
     #[cold]
     #[inline(never)]
-    fn observe_slow(inner: &Arc<Mutex<Observer>>, name: &'static str, value: u64) {
-        if let Some(metrics) = &mut inner
-            .lock()
-            .expect("observer lock poisoned")
-            .metrics_registry
-        {
-            metrics.observe(name, value);
+    fn observe_slow(inner: &RefCell<Observer>, metric: Metric, value: u64) {
+        if let Some(metrics) = &mut inner.borrow_mut().metrics_registry {
+            metrics.observe(metric, value);
         }
     }
 
@@ -135,7 +111,7 @@ impl ObsHandle {
         match &self.inner {
             None => (None, None),
             Some(inner) => {
-                let observer = inner.lock().expect("observer lock poisoned");
+                let observer = inner.borrow();
                 (observer.trace.clone(), observer.metrics_registry.clone())
             }
         }
@@ -149,14 +125,12 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let obs = ObsHandle::disabled();
-        assert!(!obs.is_enabled());
-        assert!(!obs.trace_enabled());
         obs.emit(1, Scope::Core(0), EventKind::StallBegin);
-        obs.count("x", 1);
-        obs.observe("h", 1);
+        obs.count(Metric::CoreStalls, 1);
+        obs.observe(Metric::StallLength, 1);
         assert_eq!(obs.collect(), (None, None));
         // Requesting nothing is the same as disabling.
-        assert!(!ObsHandle::enabled(None, false).is_enabled());
+        assert!(ObsHandle::enabled(None, false).inner.is_none());
     }
 
     #[test]
@@ -165,15 +139,15 @@ mod tests {
         let clone = obs.clone();
         obs.emit(1, Scope::Core(0), EventKind::StallBegin);
         clone.emit(2, Scope::Core(0), EventKind::StallEnd);
-        clone.count("stalls", 1);
-        obs.count("stalls", 2);
-        obs.observe("len", 9);
+        clone.count(Metric::CoreStalls, 1);
+        obs.count(Metric::CoreStalls, 2);
+        obs.observe(Metric::StallLength, 9);
         let (trace, metrics) = obs.collect();
         let trace = trace.unwrap();
         let metrics = metrics.unwrap();
         assert_eq!(trace.len(), 2);
-        assert_eq!(metrics.counter("stalls"), 3);
-        assert_eq!(metrics.histogram("len").unwrap().count(), 1);
+        assert_eq!(metrics.counter("core_stalls"), 3);
+        assert_eq!(metrics.histogram("stall_length").unwrap().count(), 1);
         // Collect is a copy, not a drain.
         assert_eq!(obs.collect().0.unwrap().len(), 2);
     }
@@ -182,25 +156,16 @@ mod tests {
     fn trace_only_and_metrics_only_modes() {
         let trace_only = ObsHandle::enabled(Some(4), false);
         trace_only.emit(1, Scope::Global, EventKind::SafeModeEnter);
-        trace_only.count("ignored", 1);
-        assert!(trace_only.trace_enabled());
+        trace_only.count(Metric::SafeModeTrips, 1);
         let (trace, metrics) = trace_only.collect();
         assert_eq!(trace.unwrap().len(), 1);
         assert!(metrics.is_none());
 
         let metrics_only = ObsHandle::enabled(None, true);
         metrics_only.emit(1, Scope::Global, EventKind::SafeModeEnter);
-        metrics_only.count("seen", 1);
-        assert!(!metrics_only.trace_enabled());
+        metrics_only.count(Metric::SafeModeTrips, 1);
         let (trace, metrics) = metrics_only.collect();
         assert!(trace.is_none());
-        assert_eq!(metrics.unwrap().counter("seen"), 1);
-    }
-
-    #[test]
-    fn enabled_handles_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>(_: &T) {}
-        let obs = ObsHandle::enabled(Some(4), true);
-        assert_send_sync(&obs);
+        assert_eq!(metrics.unwrap().counter("safe_mode_trips"), 1);
     }
 }

@@ -11,39 +11,46 @@
 //!   token grant/deny, safe-mode enter/exit, fault injections) with cycle
 //!   timestamps and core/bank scopes, exportable as Chrome `trace_event`
 //!   JSON (loadable in Perfetto / `chrome://tracing`).
-//! - **Metrics registry** ([`MetricsRegistry`]): named counters and
+//! - **Metrics registry** ([`MetricsRegistry`]): counters and
 //!   power-of-two-bucket histograms (stall length, gated duration, wake
-//!   latency, break-even shortfall) with a commutative [`merge`](MetricsRegistry::merge), so
-//!   aggregation over parallel runs is deterministic.
+//!   latency, break-even shortfall) named by the closed [`Metric`]
+//!   vocabulary and stored in one slot per metric, with a commutative
+//!   [`merge`](MetricsRegistry::merge), so aggregation over parallel runs
+//!   is deterministic.
 //! - **Handle** ([`ObsHandle`]): the single instrumentation entry point
 //!   components hold. A disabled handle is a `None` — every `emit`/`count`/
 //!   `observe` call is a single branch and no allocation, so instrumented
-//!   hot paths cost nothing when observability is off.
-//! - **Hub** ([`MetricsHub`]): a thread-safe accumulator that many
-//!   simulations merge their registries into; merging is commutative and
-//!   associative, so the aggregate is identical at any job count.
+//!   hot paths cost nothing when observability is off. An enabled handle
+//!   is an `Rc<RefCell<_>>` private to one simulation's thread: recording
+//!   takes no lock and looks up no string.
+//! - **Hubs** ([`MetricsHub`], [`EventHub`]): thread-safe accumulators
+//!   that many simulations publish their finished registries and traces
+//!   into; metric merging is commutative and associative, so the
+//!   aggregate is identical at any job count.
 //!
 //! # Determinism contract
 //!
 //! A simulation emits events in simulation order; the buffer preserves
-//! insertion order and the JSON renderings iterate sorted maps. Each
-//! simulation owns its handle and runs on one thread, so two runs with the
-//! same configuration produce byte-identical traces and metrics regardless
-//! of how many worker threads the harness spreads simulations over (the
-//! suite runner). That property is what the workspace's regression suite
-//! pins.
+//! insertion order and the JSON renderings list metrics in sorted-name
+//! order. Each simulation owns its handle and runs on one thread, so two
+//! runs with the same configuration produce byte-identical traces and
+//! metrics regardless of how many worker threads the harness spreads
+//! simulations over (the suite runner). That property is what the
+//! workspace's regression suite pins.
 //!
 //! ```
-//! use mapg_obs::{EventKind, ObsHandle, Scope};
+//! use mapg_obs::{EventKind, Metric, ObsHandle, Scope};
 //!
 //! let obs = ObsHandle::enabled(Some(1024), true);
 //! obs.emit(10, Scope::Core(0), EventKind::StallBegin);
-//! obs.count("stalls", 1);
-//! obs.observe("stall_length", 90);
+//! obs.count(Metric::CoreStalls, 1);
+//! obs.observe(Metric::StallLength, 90);
 //! obs.emit(100, Scope::Core(0), EventKind::StallEnd);
 //! let (trace, metrics) = obs.collect();
 //! assert_eq!(trace.unwrap().len(), 2);
-//! assert_eq!(metrics.unwrap().counter("stalls"), 1);
+//! let metrics = metrics.unwrap();
+//! assert_eq!(metrics.counter("core_stalls"), 1);
+//! assert_eq!(metrics.histogram("stall_length").unwrap().sum(), 90);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,6 +69,6 @@ pub use feed::{
 };
 pub use handle::ObsHandle;
 pub use metrics::{
-    ambient_hub, with_ambient_hub, Histogram, HistogramSummary, MetricsHub, MetricsRegistry,
+    ambient_hub, with_ambient_hub, Histogram, HistogramSummary, Metric, MetricsHub, MetricsRegistry,
 };
 pub use trace::{TraceBuffer, DEFAULT_TRACE_CAPACITY};

@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use crate::json::{self, JsonValue};
@@ -140,15 +141,178 @@ fn bucket_lower_bound(index: usize) -> u64 {
     }
 }
 
-/// A registry of named counters and histograms.
+/// The closed vocabulary of metric names, one variant per metric that
+/// any component records.
 ///
-/// Names are `&'static str` because every metric site in the workspace
-/// names its metric with a literal; sorted-map storage makes the JSON
-/// rendering — and therefore the regression goldens — deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Variants are declared in ascending [`name`](Metric::name) order, so
+/// iterating [`Metric::ALL`] visits metrics in the same sorted order the
+/// JSON rendering (and so the regression goldens) uses. A registry indexes
+/// its storage by variant, so recording a metric is one array access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Metric {
+    /// Counter: gates (re-gated naps included) that slept less than
+    /// break-even.
+    BetMisses,
+    /// Histogram: cycles a break-even miss fell short by.
+    BetShortfall,
+    /// Counter: long-latency memory stalls the cores took.
+    CoreStalls,
+    /// Counter: gate decisions the watchdog demoted to no-gating.
+    DemotedGates,
+    /// Counter: DRAM accesses served.
+    DramAccesses,
+    /// Counter: DRAM accesses served with an injected latency spike.
+    DramFaultSpikes,
+    /// Counter: active dynamic energy, whole nanojoules.
+    EnergyNjActiveDynamic,
+    /// Counter: active leakage energy, whole nanojoules.
+    EnergyNjActiveLeakage,
+    /// Counter: DRAM access energy, whole nanojoules.
+    EnergyNjDramAccess,
+    /// Counter: DRAM background (standby and refresh) energy, whole
+    /// nanojoules.
+    EnergyNjDramBackground,
+    /// Counter: residual leakage while power-gated, whole nanojoules.
+    EnergyNjGatedResidual,
+    /// Counter: core energy while stalled but not gated, whole nanojoules.
+    EnergyNjIdleStall,
+    /// Counter: sleep/wake transition energy, whole nanojoules.
+    EnergyNjTransition,
+    /// Counter: cycles the power-gating FSMs spent active.
+    FsmActiveCycles,
+    /// Counter: cycles the power-gating FSMs spent entering sleep.
+    FsmEnteringCycles,
+    /// Counter: cycles the power-gating FSMs spent asleep.
+    FsmSleepingCycles,
+    /// Counter: cycles the power-gating FSMs spent waking.
+    FsmWakingCycles,
+    /// Histogram: cycles each gate (or re-gated nap) slept.
+    GatedDuration,
+    /// Counter: stalls the controller gated.
+    Gates,
+    /// Counter: accesses that missed the last-level cache.
+    LlcMisses,
+    /// Histogram: cycles from LLC miss issue to completion.
+    MissLatency,
+    /// Counter: naps re-gated after an early wake.
+    Regates,
+    /// Counter: watchdog re-arms out of safe mode.
+    SafeModeRecoveries,
+    /// Counter: watchdog trips into safe mode.
+    SafeModeTrips,
+    /// Histogram: natural length of each memory stall, in cycles.
+    StallLength,
+    /// Counter: wake tokens granted.
+    TokenGrants,
+    /// Histogram: cycles each wake waited for its token.
+    TokenWait,
+    /// Histogram: cycles each wake ramp took.
+    WakeLatency,
+}
+
+impl Metric {
+    /// Number of metrics in the vocabulary.
+    pub const COUNT: usize = 28;
+
+    /// Every metric, in ascending name order.
+    pub const ALL: [Metric; Metric::COUNT] = [
+        Metric::BetMisses,
+        Metric::BetShortfall,
+        Metric::CoreStalls,
+        Metric::DemotedGates,
+        Metric::DramAccesses,
+        Metric::DramFaultSpikes,
+        Metric::EnergyNjActiveDynamic,
+        Metric::EnergyNjActiveLeakage,
+        Metric::EnergyNjDramAccess,
+        Metric::EnergyNjDramBackground,
+        Metric::EnergyNjGatedResidual,
+        Metric::EnergyNjIdleStall,
+        Metric::EnergyNjTransition,
+        Metric::FsmActiveCycles,
+        Metric::FsmEnteringCycles,
+        Metric::FsmSleepingCycles,
+        Metric::FsmWakingCycles,
+        Metric::GatedDuration,
+        Metric::Gates,
+        Metric::LlcMisses,
+        Metric::MissLatency,
+        Metric::Regates,
+        Metric::SafeModeRecoveries,
+        Metric::SafeModeTrips,
+        Metric::StallLength,
+        Metric::TokenGrants,
+        Metric::TokenWait,
+        Metric::WakeLatency,
+    ];
+
+    /// Stable snake-case name, used as the JSON key.
+    pub fn name(self) -> &'static str {
+        match self {
+            Metric::BetMisses => "bet_misses",
+            Metric::BetShortfall => "bet_shortfall",
+            Metric::CoreStalls => "core_stalls",
+            Metric::DemotedGates => "demoted_gates",
+            Metric::DramAccesses => "dram_accesses",
+            Metric::DramFaultSpikes => "dram_fault_spikes",
+            Metric::EnergyNjActiveDynamic => "energy_nj_active_dynamic",
+            Metric::EnergyNjActiveLeakage => "energy_nj_active_leakage",
+            Metric::EnergyNjDramAccess => "energy_nj_dram_access",
+            Metric::EnergyNjDramBackground => "energy_nj_dram_background",
+            Metric::EnergyNjGatedResidual => "energy_nj_gated_residual",
+            Metric::EnergyNjIdleStall => "energy_nj_idle_stall",
+            Metric::EnergyNjTransition => "energy_nj_transition",
+            Metric::FsmActiveCycles => "fsm_active_cycles",
+            Metric::FsmEnteringCycles => "fsm_entering_cycles",
+            Metric::FsmSleepingCycles => "fsm_sleeping_cycles",
+            Metric::FsmWakingCycles => "fsm_waking_cycles",
+            Metric::GatedDuration => "gated_duration",
+            Metric::Gates => "gates",
+            Metric::LlcMisses => "llc_misses",
+            Metric::MissLatency => "miss_latency",
+            Metric::Regates => "regates",
+            Metric::SafeModeRecoveries => "safe_mode_recoveries",
+            Metric::SafeModeTrips => "safe_mode_trips",
+            Metric::StallLength => "stall_length",
+            Metric::TokenGrants => "token_grants",
+            Metric::TokenWait => "token_wait",
+            Metric::WakeLatency => "wake_latency",
+        }
+    }
+
+    /// The metric called `name`, if the vocabulary has one.
+    pub fn from_name(name: &str) -> Option<Metric> {
+        Metric::ALL.into_iter().find(|metric| metric.name() == name)
+    }
+}
+
+/// A registry of counters and histograms, one slot of each per
+/// [`Metric`].
+///
+/// A slot is `None` until its metric is first recorded, so the JSON
+/// rendering lists exactly the metrics a run touched (a counter bumped by
+/// zero still appears). The slot arrays live behind one `Box` and each
+/// histogram behind its own, so a registry — and every `RunReport` that
+/// may carry one — stays pointer-sized, and no allocation it makes is
+/// larger than a histogram.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    slots: Box<Slots>,
+}
+
+#[derive(Clone, PartialEq, Eq)]
+struct Slots {
+    counters: [Option<u64>; Metric::COUNT],
+    histograms: [Option<Box<Histogram>>; Metric::COUNT],
+}
+
+impl Default for Slots {
+    fn default() -> Self {
+        Slots {
+            counters: [None; Metric::COUNT],
+            histograms: [const { None }; Metric::COUNT],
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -157,49 +321,65 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `n` to the named counter.
-    pub fn count(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+    /// Adds `n` to `metric`'s counter.
+    pub fn count(&mut self, metric: Metric, n: u64) {
+        *self.slots.counters[metric as usize].get_or_insert(0) += n;
     }
 
-    /// Records one sample into the named histogram.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
+    /// Records one sample into `metric`'s histogram.
+    pub fn observe(&mut self, metric: Metric, value: u64) {
+        self.slots.histograms[metric as usize]
+            .get_or_insert_with(Box::default)
+            .record(value);
     }
 
-    /// Current value of a counter (0 when never incremented).
+    /// Current value of the counter called `name` (0 when never
+    /// incremented or not a metric name).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        Metric::from_name(name)
+            .and_then(|metric| self.slots.counters[metric as usize])
+            .unwrap_or(0)
     }
 
-    /// The named histogram, if any sample was recorded.
+    /// The histogram called `name`, if any sample was recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        Metric::from_name(name).and_then(|metric| self.slots.histograms[metric as usize].as_deref())
     }
 
-    /// All counters, sorted by name.
+    /// All recorded counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&name, &value)| (name, value))
+        Metric::ALL
+            .into_iter()
+            .zip(&self.slots.counters)
+            .filter_map(|(metric, value)| value.map(|value| (metric.name(), value)))
     }
 
-    /// All histograms, sorted by name.
+    /// All recorded histograms, sorted by name.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(&name, hist)| (name, hist))
+        Metric::ALL
+            .into_iter()
+            .zip(&self.slots.histograms)
+            .filter_map(|(metric, hist)| hist.as_deref().map(|hist| (metric.name(), hist)))
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
+        self.counters().next().is_none() && self.histograms().next().is_none()
     }
 
     /// Folds another registry into this one. Commutative and associative,
     /// so parallel aggregation is order-independent.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (&name, &value) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += value;
+        let slots = &mut *self.slots;
+        for (mine, theirs) in slots.counters.iter_mut().zip(&other.slots.counters) {
+            if let Some(value) = theirs {
+                *mine.get_or_insert(0) += value;
+            }
         }
-        for (&name, hist) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(hist);
+        for (mine, theirs) in slots.histograms.iter_mut().zip(&other.slots.histograms) {
+            if let Some(hist) = theirs {
+                mine.get_or_insert_with(Box::default).merge(hist);
+            }
         }
     }
 
@@ -233,6 +413,16 @@ impl MetricsRegistry {
     /// (sorted names, stable number formats, trailing newline).
     pub fn to_json(&self) -> String {
         json::write_pretty(&self.to_json_value())
+    }
+}
+
+impl fmt::Debug for MetricsRegistry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The same text the string-keyed maps printed.
+        f.debug_struct("MetricsRegistry")
+            .field("counters", &self.counters().collect::<BTreeMap<_, _>>())
+            .field("histograms", &self.histograms().collect::<BTreeMap<_, _>>())
+            .finish()
     }
 }
 
@@ -328,31 +518,46 @@ mod tests {
     }
 
     #[test]
+    fn vocabulary_is_sorted_and_indexed_by_variant() {
+        for (index, metric) in Metric::ALL.into_iter().enumerate() {
+            assert_eq!(metric as usize, index, "{metric:?} is out of place");
+            assert_eq!(Metric::from_name(metric.name()), Some(metric));
+        }
+        for pair in Metric::ALL.windows(2) {
+            assert!(pair[0].name() < pair[1].name(), "{pair:?} out of order");
+        }
+        assert_eq!(Metric::from_name("absent"), None);
+    }
+
+    #[test]
     fn merge_is_commutative() {
         let mut a = MetricsRegistry::new();
-        a.count("x", 2);
-        a.observe("h", 5);
+        a.count(Metric::Gates, 2);
+        a.observe(Metric::StallLength, 5);
         let mut b = MetricsRegistry::new();
-        b.count("x", 3);
-        b.count("y", 1);
-        b.observe("h", 50);
+        b.count(Metric::Gates, 3);
+        b.count(Metric::Regates, 1);
+        b.observe(Metric::StallLength, 50);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.counter("x"), 5);
-        assert_eq!(ab.counter("y"), 1);
+        assert_eq!(ab.counter("gates"), 5);
+        assert_eq!(ab.counter("regates"), 1);
+        assert_eq!(ab.counter("bet_misses"), 0);
         assert_eq!(ab.counter("absent"), 0);
-        assert_eq!(ab.histogram("h").unwrap().count(), 2);
+        assert_eq!(ab.histogram("stall_length").unwrap().count(), 2);
+        assert!(ab.histogram("absent").is_none());
     }
 
     #[test]
     fn json_is_stable_and_sorted() {
         let mut r = MetricsRegistry::new();
-        r.count("zeta", 1);
-        r.count("alpha", 2);
-        r.observe("lat", 3);
+        r.count(Metric::TokenGrants, 1);
+        r.count(Metric::BetMisses, 2);
+        r.count(Metric::Gates, 0);
+        r.observe(Metric::WakeLatency, 3);
         let text = r.to_json();
         assert_eq!(text, r.to_json());
         assert!(text.ends_with("}\n"));
@@ -362,9 +567,13 @@ mod tests {
             panic!("counters is not an object: {text}");
         };
         let names: Vec<&str> = counters.iter().map(|(name, _)| name.as_str()).collect();
-        assert_eq!(names, ["alpha", "zeta"], "counters must render sorted");
+        assert_eq!(
+            names,
+            ["bet_misses", "gates", "token_grants"],
+            "counters must render sorted, zero-bumped ones included"
+        );
         assert_eq!(counters[0].1.as_u64(), Some(2));
-        let lat = doc.get("histograms").unwrap().get("lat").unwrap();
+        let lat = doc.get("histograms").unwrap().get("wake_latency").unwrap();
         assert_eq!(lat.get("count").unwrap().as_u64(), Some(1));
         assert_eq!(lat.get("sum").unwrap().as_u64(), Some(3));
         let empty = json::parse(&MetricsRegistry::new().to_json()).unwrap();
@@ -376,10 +585,10 @@ mod tests {
         let hub = MetricsHub::new();
         let clone = hub.clone();
         let mut r = MetricsRegistry::new();
-        r.count("sims", 1);
+        r.count(Metric::Gates, 1);
         hub.merge(&r);
         clone.merge(&r);
-        assert_eq!(hub.snapshot().counter("sims"), 2);
+        assert_eq!(hub.snapshot().counter("gates"), 2);
     }
 
     #[test]
@@ -389,11 +598,11 @@ mod tests {
         with_ambient_hub(hub.clone(), || {
             let seen = ambient_hub().expect("ambient hub visible inside scope");
             let mut r = MetricsRegistry::new();
-            r.count("seen", 1);
+            r.count(Metric::Gates, 1);
             seen.merge(&r);
         });
         assert!(ambient_hub().is_none());
-        assert_eq!(hub.snapshot().counter("seen"), 1);
+        assert_eq!(hub.snapshot().counter("gates"), 1);
     }
 
     #[test]

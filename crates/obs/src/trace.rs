@@ -8,6 +8,11 @@ use crate::event::{EventKind, Scope, TraceRecord};
 /// workspace (the regression suite asserts nothing was dropped).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
+/// Capacity the Chrome export reserves per line: the mean line of a
+/// stall-dense run (`membound-observed`) is about 87 bytes, so the output
+/// `String` rarely has to grow.
+const LINE_BYTES: usize = 88;
+
 /// A bounded, drop-oldest ring of [`TraceRecord`]s.
 ///
 /// The buffer preserves insertion order — which, for a single simulation,
@@ -114,67 +119,85 @@ impl TraceBuffer {
     /// Timestamps map cycles to microseconds one-to-one (1 cyc = 1 µs on
     /// the viewer's axis); cores, DRAM banks, and the controller render as
     /// separate named processes. Output is deterministic: records appear
-    /// in insertion order, metadata in sorted scope order.
+    /// in insertion order, metadata in sorted scope order. Every line is
+    /// written straight into the one output `String`, so the export
+    /// allocates nothing per record.
     pub fn to_chrome_trace(&self) -> String {
         let mut scopes: BTreeSet<Scope> = BTreeSet::new();
+        let mut last = None;
         for record in self.iter() {
-            scopes.insert(record.scope);
+            if last != Some(record.scope) {
+                last = Some(record.scope);
+                scopes.insert(record.scope);
+            }
         }
 
-        let mut out = String::with_capacity(64 + self.len() * 64);
+        // One line per record, per scope and per process (at most three).
+        let lines = self.len() + scopes.len() + 3;
+        let mut out = String::with_capacity(64 + lines * LINE_BYTES);
         out.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-        let mut first = true;
-        let mut push_line = |out: &mut String, line: &str| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
+        // Every line but the first is preceded by ",\n".
+        let mut separator = "";
+        let mut line = |out: &mut String| {
+            out.push_str(separator);
             out.push_str("  ");
-            out.push_str(line);
+            separator = ",\n";
         };
 
-        let mut pids: BTreeSet<u32> = BTreeSet::new();
-        for scope in &scopes {
-            let (pid, tid, process, thread) = scope_ids(*scope);
-            if pids.insert(pid) {
-                push_line(
-                    &mut out,
-                    &format!(
-                        "{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
-                         \"args\": {{\"name\": \"{process}\"}}}}"
-                    ),
-                );
+        let mut last_pid = None;
+        for &scope in &scopes {
+            let (pid, tid, process) = scope_ids(scope);
+            // Scopes sort by kind first, so each pid's scopes are adjacent.
+            if last_pid != Some(pid) {
+                last_pid = Some(pid);
+                line(&mut out);
+                out.push_str("{\"ph\": \"M\", \"pid\": ");
+                push_u64(&mut out, pid.into());
+                out.push_str(", \"name\": \"process_name\", \"args\": {\"name\": \"");
+                out.push_str(process);
+                out.push_str("\"}}");
             }
-            push_line(
-                &mut out,
-                &format!(
-                    "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
-                     \"name\": \"thread_name\", \"args\": {{\"name\": \"{thread}\"}}}}"
-                ),
-            );
+            line(&mut out);
+            out.push_str("{\"ph\": \"M\", \"pid\": ");
+            push_u64(&mut out, pid.into());
+            out.push_str(", \"tid\": ");
+            push_u64(&mut out, tid.into());
+            out.push_str(", \"name\": \"thread_name\", \"args\": {\"name\": \"");
+            match scope {
+                Scope::Core(id) => {
+                    out.push_str("core ");
+                    push_u64(&mut out, id.into());
+                }
+                Scope::Bank(id) => {
+                    out.push_str("bank ");
+                    push_u64(&mut out, id.into());
+                }
+                Scope::Global => out.push_str("safe-mode"),
+            }
+            out.push_str("\"}}");
         }
 
         for record in self.iter() {
-            let (pid, tid, _, _) = scope_ids(record.scope);
-            let name = record.kind.name();
-            let ts = record.at;
-            let line = if record.kind.is_span_begin() {
-                format!(
-                    "{{\"ph\": \"B\", \"ts\": {ts}, \"pid\": {pid}, \"tid\": {tid}, \
-                     \"cat\": \"mapg\", \"name\": \"{name}\"}}"
-                )
+            let (pid, tid, _) = scope_ids(record.scope);
+            let (phase, tail) = if record.kind.is_span_begin() {
+                ("B", "\"}")
             } else if record.kind.is_span_end() {
-                format!(
-                    "{{\"ph\": \"E\", \"ts\": {ts}, \"pid\": {pid}, \"tid\": {tid}, \
-                     \"cat\": \"mapg\", \"name\": \"{name}\"}}"
-                )
+                ("E", "\"}")
             } else {
-                format!(
-                    "{{\"ph\": \"i\", \"ts\": {ts}, \"pid\": {pid}, \"tid\": {tid}, \
-                     \"cat\": \"mapg\", \"name\": \"{name}\", \"s\": \"t\"}}"
-                )
+                ("i", "\", \"s\": \"t\"}")
             };
-            push_line(&mut out, &line);
+            line(&mut out);
+            out.push_str("{\"ph\": \"");
+            out.push_str(phase);
+            out.push_str("\", \"ts\": ");
+            push_u64(&mut out, record.at);
+            out.push_str(", \"pid\": ");
+            push_u64(&mut out, pid.into());
+            out.push_str(", \"tid\": ");
+            push_u64(&mut out, tid.into());
+            out.push_str(", \"cat\": \"mapg\", \"name\": \"");
+            out.push_str(record.kind.name());
+            out.push_str(tail);
         }
 
         out.push_str("\n]}\n");
@@ -188,14 +211,29 @@ impl Default for TraceBuffer {
     }
 }
 
-/// Maps a scope onto (pid, tid, process name, thread name) for the Chrome
-/// trace: cores are pid 1, DRAM banks pid 2, the controller pid 3.
-fn scope_ids(scope: Scope) -> (u32, u32, &'static str, String) {
+/// Maps a scope onto (pid, tid, process name) for the Chrome trace: cores
+/// are pid 1, DRAM banks pid 2, the controller pid 3.
+fn scope_ids(scope: Scope) -> (u32, u32, &'static str) {
     match scope {
-        Scope::Core(id) => (1, id, "cores", format!("core {id}")),
-        Scope::Bank(id) => (2, id, "dram", format!("bank {id}")),
-        Scope::Global => (3, 0, "controller", "safe-mode".to_owned()),
+        Scope::Core(id) => (1, id, "cores"),
+        Scope::Bank(id) => (2, id, "dram"),
+        Scope::Global => (3, 0, "controller"),
     }
+}
+
+/// Appends the decimal digits of `n` without going through `fmt`.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 #[cfg(test)]
@@ -285,6 +323,90 @@ mod tests {
                 Some(crate::json::JsonValue::Array(_))
             ),
             "{json}"
+        );
+    }
+
+    /// A buffer touching every event kind, fault kind and scope, with a
+    /// multi-digit tid and the largest timestamp.
+    fn every_kind_buffer() -> TraceBuffer {
+        let mut buf = TraceBuffer::default();
+        let core = Scope::Core(0);
+        let wide = Scope::Core(12);
+        for (at, scope, kind) in [
+            (10, core, EventKind::StallBegin),
+            (12, wide, EventKind::StallBegin),
+            (14, core, EventKind::SleepEnter),
+            (15, wide, EventKind::TokenDeny),
+            (16, Scope::Global, EventKind::SafeModeEnter),
+            (40, core, EventKind::SleepExit),
+            (40, core, EventKind::TokenGrant),
+            (41, core, EventKind::WakeStart),
+            (47, core, EventKind::WakeDone),
+            (48, core, EventKind::StallEnd),
+            (
+                50,
+                Scope::Bank(3),
+                EventKind::FaultInjected(FaultKind::DramSpike),
+            ),
+            (51, wide, EventKind::FaultInjected(FaultKind::SlowWake)),
+            (52, wide, EventKind::FaultInjected(FaultKind::TokenDrop)),
+            (53, wide, EventKind::FaultInjected(FaultKind::BrownoutVeto)),
+            (
+                54,
+                Scope::Global,
+                EventKind::FaultInjected(FaultKind::Brownout),
+            ),
+            (
+                55,
+                Scope::Bank(10),
+                EventKind::FaultInjected(FaultKind::SensorNoise),
+            ),
+            (90, Scope::Global, EventKind::SafeModeExit),
+            (u64::MAX, wide, EventKind::StallEnd),
+        ] {
+            buf.push(rec(at, scope, kind));
+        }
+        buf
+    }
+
+    #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        // The exporter's byte contract: traces already written must stay
+        // comparable with new ones, so never re-capture this literal to
+        // make an exporter change pass.
+        let expected = r#"{"displayTimeUnit": "ms", "traceEvents": [
+  {"ph": "M", "pid": 1, "name": "process_name", "args": {"name": "cores"}},
+  {"ph": "M", "pid": 1, "tid": 0, "name": "thread_name", "args": {"name": "core 0"}},
+  {"ph": "M", "pid": 1, "tid": 12, "name": "thread_name", "args": {"name": "core 12"}},
+  {"ph": "M", "pid": 2, "name": "process_name", "args": {"name": "dram"}},
+  {"ph": "M", "pid": 2, "tid": 3, "name": "thread_name", "args": {"name": "bank 3"}},
+  {"ph": "M", "pid": 2, "tid": 10, "name": "thread_name", "args": {"name": "bank 10"}},
+  {"ph": "M", "pid": 3, "name": "process_name", "args": {"name": "controller"}},
+  {"ph": "M", "pid": 3, "tid": 0, "name": "thread_name", "args": {"name": "safe-mode"}},
+  {"ph": "B", "ts": 10, "pid": 1, "tid": 0, "cat": "mapg", "name": "stall"},
+  {"ph": "B", "ts": 12, "pid": 1, "tid": 12, "cat": "mapg", "name": "stall"},
+  {"ph": "B", "ts": 14, "pid": 1, "tid": 0, "cat": "mapg", "name": "gated"},
+  {"ph": "i", "ts": 15, "pid": 1, "tid": 12, "cat": "mapg", "name": "token-deny", "s": "t"},
+  {"ph": "B", "ts": 16, "pid": 3, "tid": 0, "cat": "mapg", "name": "safe-mode"},
+  {"ph": "E", "ts": 40, "pid": 1, "tid": 0, "cat": "mapg", "name": "gated"},
+  {"ph": "i", "ts": 40, "pid": 1, "tid": 0, "cat": "mapg", "name": "token-grant", "s": "t"},
+  {"ph": "B", "ts": 41, "pid": 1, "tid": 0, "cat": "mapg", "name": "wake"},
+  {"ph": "E", "ts": 47, "pid": 1, "tid": 0, "cat": "mapg", "name": "wake"},
+  {"ph": "E", "ts": 48, "pid": 1, "tid": 0, "cat": "mapg", "name": "stall"},
+  {"ph": "i", "ts": 50, "pid": 2, "tid": 3, "cat": "mapg", "name": "dram-spike", "s": "t"},
+  {"ph": "i", "ts": 51, "pid": 1, "tid": 12, "cat": "mapg", "name": "slow-wake", "s": "t"},
+  {"ph": "i", "ts": 52, "pid": 1, "tid": 12, "cat": "mapg", "name": "token-drop", "s": "t"},
+  {"ph": "i", "ts": 53, "pid": 1, "tid": 12, "cat": "mapg", "name": "brownout-veto", "s": "t"},
+  {"ph": "i", "ts": 54, "pid": 3, "tid": 0, "cat": "mapg", "name": "brownout", "s": "t"},
+  {"ph": "i", "ts": 55, "pid": 2, "tid": 10, "cat": "mapg", "name": "sensor-noise", "s": "t"},
+  {"ph": "E", "ts": 90, "pid": 3, "tid": 0, "cat": "mapg", "name": "safe-mode"},
+  {"ph": "E", "ts": 18446744073709551615, "pid": 1, "tid": 12, "cat": "mapg", "name": "stall"}
+]}
+"#;
+        assert_eq!(every_kind_buffer().to_chrome_trace(), expected);
+        assert_eq!(
+            TraceBuffer::new(1).to_chrome_trace(),
+            "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n\n]}\n"
         );
     }
 

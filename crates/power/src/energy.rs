@@ -2,6 +2,7 @@
 
 use core::fmt;
 
+use mapg_obs::Metric;
 use mapg_units::Joules;
 
 /// Where a joule went.
@@ -74,16 +75,16 @@ impl fmt::Display for EnergyCategory {
 }
 
 impl EnergyCategory {
-    /// Stable metric name (`energy_nj_*`) for the observability registry.
-    fn metric_name(self) -> &'static str {
+    /// The observability metric (`energy_nj_*`) this category records as.
+    fn metric(self) -> Metric {
         match self {
-            EnergyCategory::ActiveDynamic => "energy_nj_active_dynamic",
-            EnergyCategory::ActiveLeakage => "energy_nj_active_leakage",
-            EnergyCategory::IdleStall => "energy_nj_idle_stall",
-            EnergyCategory::GatedResidual => "energy_nj_gated_residual",
-            EnergyCategory::Transition => "energy_nj_transition",
-            EnergyCategory::DramAccess => "energy_nj_dram_access",
-            EnergyCategory::DramBackground => "energy_nj_dram_background",
+            EnergyCategory::ActiveDynamic => Metric::EnergyNjActiveDynamic,
+            EnergyCategory::ActiveLeakage => Metric::EnergyNjActiveLeakage,
+            EnergyCategory::IdleStall => Metric::EnergyNjIdleStall,
+            EnergyCategory::GatedResidual => Metric::EnergyNjGatedResidual,
+            EnergyCategory::Transition => Metric::EnergyNjTransition,
+            EnergyCategory::DramAccess => Metric::EnergyNjDramAccess,
+            EnergyCategory::DramBackground => Metric::EnergyNjDramBackground,
         }
     }
 }
@@ -158,7 +159,7 @@ impl EnergyAccount {
         for category in EnergyCategory::ALL {
             let nanojoules = (self.get(category).as_joules() * 1e9).round();
             if nanojoules.is_finite() && nanojoules >= 0.0 {
-                obs.count(category.metric_name(), nanojoules as u64);
+                obs.count(category.metric(), nanojoules as u64);
             }
         }
     }
