@@ -6,9 +6,12 @@
 //! - [`Scale`] — smoke / quick / paper instruction budgets;
 //! - [`Table`] — the text/CSV result format;
 //! - [`experiments`] — one module per reconstructed table/figure, plus the
-//!   [`experiments::all`] registry;
-//! - [`ThroughputReport`] — the `throughput` binary's harness measuring
-//!   simulated-cycles-per-second (event-wheel vs reference scheduler).
+//!   [`experiments::all`] registry.
+//!
+//! Simulator speed is measured by perfbench, the benchmark under
+//! `perfbench/` that `BENCHMARK.json` declares, and CI gates on its
+//! calibrated simulation rate against `BENCH_17.json` (README,
+//! "Performance gate").
 //!
 //! # Regenerating the paper's evaluation
 //!
@@ -40,7 +43,6 @@ mod journal;
 mod manifest;
 mod scale;
 mod table;
-mod throughput;
 
 pub use client::{Client, ClientError, JobResult, JobStatus, StreamEnd, StreamEvent};
 pub use daemon::{Daemon, DaemonConfig, PROTOCOL_VERSION};
@@ -55,7 +57,3 @@ pub use manifest::{
 };
 pub use scale::Scale;
 pub use table::{pct, ratio, Table};
-pub use throughput::{
-    run_throughput_cli, ThroughputCase, ThroughputReport, CORE_COUNTS, THROUGHPUT_SCHEMA,
-    THROUGHPUT_TOLERANCE,
-};

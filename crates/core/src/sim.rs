@@ -338,10 +338,10 @@ impl SimConfig {
     /// instruction budget, compute runs are re-chunked at basic-block
     /// granularity (`quantum` instructions — see
     /// [`mapg_trace::RecordedTrace::quantize_compute`]), and the run
-    /// replays the recording. This is the throughput benchmark's workload
-    /// shape, where compute batching folds the most events; exposing it
-    /// here lets the differential fuzzer drive the full controller stack
-    /// through the replay path too.
+    /// replays the recording. This is the trace shape where compute
+    /// batching folds the most events; the differential fuzzer turns it on
+    /// in about a third of its scenarios (and its shrinker reduces it), so
+    /// the full controller stack is checked on the replay path too.
     ///
     /// # Panics
     ///
@@ -371,9 +371,8 @@ impl SimConfig {
     /// hierarchy) instead of the optimized one.
     ///
     /// Reports must be identical either way — that is the equivalence the
-    /// proptest oracle enforces. The knob exists for those oracle tests
-    /// and for the `throughput` binary, which measures the optimized
-    /// stack's speedup against this reference.
+    /// differential fuzzer (`fuzz::differ`) and this module's tests
+    /// enforce, and the only reason the knob exists.
     pub fn with_reference_scheduler(mut self) -> Self {
         self.reference_scheduler = true;
         self

@@ -13,12 +13,12 @@
 //!   batching, the heap scheduler and the flattened caches) reproduces this
 //!   stack's core interleaving, statistics and `RunReport`s bit-for-bit
 //!   across random core counts, workload mixes and seeds;
-//! - **throughput baseline** — the `throughput` binary measures the
-//!   optimized stack's simulated-cycles-per-second against this one, so the
-//!   committed speedup is a true before/after comparison reproducible in one
-//!   binary.
+//! - **benchmark calibration** — perfbench times a fixed simulation on
+//!   this stack before every timed call and scales every reported time by
+//!   it, so a change here moves every calibrated number in perfbench and
+//!   the CI performance gate on its `sim_mcycles_per_s`.
 //!
-//! Nothing here should be optimized: its cost *is* the baseline.
+//! Nothing here should be optimized: its cost *is* the yardstick.
 
 use mapg_mem::{HierarchyConfig, ReferenceHierarchy, ServiceLevel};
 use mapg_obs::{EventKind, Metric, ObsHandle, Scope};
@@ -186,7 +186,7 @@ impl<S: EventSource> ReferenceCore<S> {
 /// hierarchy.
 ///
 /// The API mirrors [`Cluster`](crate::Cluster) where the equivalence suite
-/// and the throughput harness need it: construction from the same configs
+/// and perfbench's calibration need it: construction from the same configs
 /// and sources, [`set_obs`](ReferenceCluster::set_obs),
 /// [`run`](ReferenceCluster::run) /
 /// [`try_run`](ReferenceCluster::try_run), and a [`ClusterStats`] snapshot

@@ -12,13 +12,13 @@
 //!   pins every optimization in [`Cache`](crate::Cache) /
 //!   [`Dram`](crate::Dram) / [`MemoryHierarchy`](crate::MemoryHierarchy) to
 //!   the seed semantics;
-//! - **throughput baseline** — the `throughput` binary measures the
-//!   optimized stack's simulated-cycles-per-second against this one, so the
-//!   committed speedup is a true before/after comparison reproducible in one
-//!   binary.
+//! - **benchmark calibration** — under `mapg_cpu::ReferenceCluster` it is
+//!   the fixed simulation perfbench times to scale every reported time, so
+//!   a change here moves every calibrated number in perfbench and the CI
+//!   performance gate on its `sim_mcycles_per_s`.
 //!
 //! Nothing here is exported for production use, and nothing here should be
-//! optimized: its slowness *is* the baseline.
+//! optimized: its cost *is* the yardstick.
 
 use mapg_trace::{AccessKind, MemAccess};
 use mapg_units::{Cycle, Cycles};

@@ -1,14 +1,14 @@
 //! The workspace's one JSON codec.
 //!
 //! Every artifact — repro files, journals, daemon wire messages,
-//! manifests, metrics and throughput records — is built as a
-//! [`JsonValue`] tree and rendered here: [`write`](fn@write) for one-line documents
-//! (repros, journals, the wire protocol), [`write_pretty`] for files
-//! people read. Every artifact reader parses with [`parse`]. The build
-//! environment has no registry access, so no serde. Numbers keep their raw
-//! text so `u64` seeds survive beyond 2^53 and floats round-trip
-//! bit-exactly through Rust's shortest-representation formatting
-//! ([`render_f64`]); wall times and ratios use [`fixed`] decimals.
+//! manifests and metrics — is built as a [`JsonValue`] tree and rendered
+//! here: [`write`](fn@write) for one-line documents (repros, journals, the
+//! wire protocol), [`write_pretty`] for files people read. Every artifact
+//! reader parses with [`parse`]. The build environment has no registry
+//! access, so no serde. Numbers keep their raw text so `u64` seeds survive
+//! beyond 2^53 and floats round-trip bit-exactly through Rust's
+//! shortest-representation formatting ([`render_f64`]); wall times and
+//! ratios use [`fixed`] decimals.
 //!
 //! The Chrome trace export ([`TraceBuffer::to_chrome_trace`]) is the one
 //! writer that does not build a tree: it streams up to millions of
@@ -505,13 +505,37 @@ mod tests {
     }
 
     #[test]
-    fn pretty_layout_matches_the_committed_throughput_records() {
-        for text in [
-            include_str!("../../../BENCH_4.json"),
-            include_str!("../../../BENCH_7.json"),
-        ] {
-            assert_eq!(write_pretty(&parse(text).unwrap()), text);
-        }
+    fn pretty_layout_round_trips_a_committed_record() {
+        // An excerpt of a benchmark record this writer once committed: a
+        // schema integer, top-level fixed-decimal floats and an array of
+        // objects mixing strings, integers and floats.
+        let text = r#"{
+  "schema": 3,
+  "scale": "smoke",
+  "repeats": 7,
+  "headline_speedup": 2.530843,
+  "mem_profile_speedup": 1.928089,
+  "cases": [
+    {
+      "name": "mem_cores1",
+      "profile": "mem",
+      "cores": 1,
+      "simulated_events": 13742,
+      "heap_wall_s": 0.000538,
+      "speedup": 1.344732
+    },
+    {
+      "name": "cpu_cores16",
+      "profile": "cpu",
+      "cores": 16,
+      "simulated_events": 124682,
+      "heap_wall_s": 0.000558,
+      "speedup": 6.274916
+    }
+  ]
+}
+"#;
+        assert_eq!(write_pretty(&parse(text).unwrap()), text);
     }
 
     #[test]
